@@ -204,29 +204,6 @@ struct WorkloadRuns
     std::map<std::string, rt::RunMetrics> byConfig;
 };
 
-/** Run one workload under the given configurations. */
-inline WorkloadRuns
-runWorkload(const wl::Workload &w,
-            const std::vector<core::CompilerConfig> &configs,
-            const hw::TimingConfig &timing = hw::TimingConfig::baseline(),
-            const hw::HwConfig &hwc = {})
-{
-    WorkloadRuns runs;
-    runs.workload = w.name;
-    const vm::Program profile_prog = w.build(true);
-    const vm::Program measure_prog = w.build(false);
-    for (const core::CompilerConfig &cc : configs) {
-        rt::ExperimentConfig config;
-        config.compiler = cc;
-        config.timing = timing;
-        config.hw = hwc;
-        runs.byConfig.emplace(
-            cc.name, rt::runExperiment(profile_prog, measure_prog,
-                                       config, w.samples));
-    }
-    return runs;
-}
-
 /** Profile/measure program pair built once per workload so a grid
  *  of experiment cells can share it read-only. */
 struct BuiltWorkload
@@ -299,10 +276,10 @@ runCellGrid(const std::vector<BuiltWorkload> &built,
 }
 
 /**
- * Parallel counterpart of calling runWorkload() per suite entry:
- * fans workload × configuration cells across the driver, then
- * assembles per-workload results in suite order. `configsFor` lets
- * individual workloads add configurations (Figure 7's grey bar).
+ * Run every workload of a suite under its configurations: fans
+ * workload × configuration cells across the driver, then assembles
+ * per-workload results in suite order. `configsFor` lets individual
+ * workloads add configurations (Figure 7's grey bar).
  */
 inline std::vector<WorkloadRuns>
 runSuiteGrid(const std::vector<BuiltWorkload> &built,
@@ -333,6 +310,18 @@ runSuiteGrid(const std::vector<BuiltWorkload> &built,
             out[wi].byConfig.emplace(name, std::move(slots[i++]));
     }
     return out;
+}
+
+/** runSuiteGrid with the same configurations for every workload. */
+inline std::vector<WorkloadRuns>
+runSuiteGrid(const std::vector<BuiltWorkload> &built,
+             const std::vector<core::CompilerConfig> &configs,
+             const hw::TimingConfig &timing = hw::TimingConfig::baseline(),
+             const hw::HwConfig &hwc = {})
+{
+    return runSuiteGrid(
+        built, [&](const wl::Workload &) { return configs; }, timing,
+        hwc);
 }
 
 /** Percentage speedup of `other` over `base` (weighted cycles). */

@@ -20,10 +20,11 @@ int
 main(int argc, char **argv)
 {
     BenchReport report("fig1_motivation", argc, argv);
-    const auto &w = wl::workloadByName("jython");
-    const WorkloadRuns runs = runWorkload(
-        w, {core::CompilerConfig::baseline(),
-            core::CompilerConfig::atomicAggressiveInline()});
+    const WorkloadRuns runs =
+        runSuiteGrid(buildPrograms(suitePointers({"jython"})),
+                     {core::CompilerConfig::baseline(),
+                      core::CompilerConfig::atomicAggressiveInline()})
+            .front();
     const auto &base = runs.byConfig.at("no-atomic");
     const auto &atomic = runs.byConfig.at("atomic+aggr-inline");
 

@@ -46,17 +46,19 @@ main(int argc, char **argv)
                      "no-atomic+aggr", "(paper)", "atomic+aggr",
                      "(paper)"});
     std::map<std::string, std::vector<double>> averages;
-    for (const auto &w : wl::dacapoSuite()) {
-        const WorkloadRuns runs = runWorkload(w, paperConfigs());
+    const std::vector<WorkloadRuns> suite =
+        runSuiteGrid(buildPrograms(suitePointers()), paperConfigs());
+    for (const WorkloadRuns &runs : suite) {
         const auto &base = runs.byConfig.at("no-atomic");
-        std::vector<std::string> row{w.name};
+        std::vector<std::string> row{runs.workload};
         for (const auto &config : configs) {
             const double measured =
                 uopReductionPct(base, runs.byConfig.at(config));
             row.push_back(TextTable::fmt(measured, 1) + "%");
             row.push_back("(" +
                           TextTable::fmt(
-                              paper.at(w.name).at(config), 0) +
+                              paper.at(runs.workload).at(config),
+                              0) +
                           "%)");
             averages[config].push_back(measured);
         }

@@ -28,9 +28,10 @@ main(int argc, char **argv)
     uint64_t total_regions = 0;
     uint64_t overflow_aborts = 0;
 
-    for (const auto &w : wl::dacapoSuite()) {
-        const WorkloadRuns runs = runWorkload(
-            w, {core::CompilerConfig::atomicAggressiveInline()});
+    const std::vector<WorkloadRuns> suite =
+        runSuiteGrid(buildPrograms(suitePointers()),
+                     {core::CompilerConfig::atomicAggressiveInline()});
+    for (const WorkloadRuns &runs : suite) {
         const auto &m = runs.byConfig.at("atomic+aggr-inline");
         for (const auto &[key, stats] : m.machine.regions) {
             for (const auto &[v, c] : stats.dynamicSize.buckets())

@@ -27,14 +27,20 @@ main(int argc, char **argv)
         hw::TimingConfig::twoWideHalf()};
     std::map<int, std::vector<double>> averages;
 
-    for (const auto &w : wl::dacapoSuite()) {
-        std::vector<std::string> row{w.name};
+    const std::vector<BuiltWorkload> built =
+        buildPrograms(suitePointers());
+    std::vector<std::vector<WorkloadRuns>> byMachine;
+    for (const hw::TimingConfig &machine : machines) {
+        byMachine.push_back(runSuiteGrid(
+            built,
+            {core::CompilerConfig::baseline(),
+             core::CompilerConfig::atomicAggressiveInline()},
+            machine));
+    }
+    for (size_t wi = 0; wi < built.size(); ++wi) {
+        std::vector<std::string> row{built[wi].workload->name};
         for (size_t m = 0; m < machines.size(); ++m) {
-            const WorkloadRuns runs = runWorkload(
-                w,
-                {core::CompilerConfig::baseline(),
-                 core::CompilerConfig::atomicAggressiveInline()},
-                machines[m]);
+            const WorkloadRuns &runs = byMachine[m][wi];
             const double s = speedupPct(
                 runs.byConfig.at("no-atomic"),
                 runs.byConfig.at("atomic+aggr-inline"));

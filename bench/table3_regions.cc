@@ -26,13 +26,14 @@ main(int argc, char **argv)
     TextTable table({"bench", "coverage", "(p)", "unique", "(p)",
                      "size", "(p)", "abort%", "(p)", "per-1k",
                      "(p)"});
-    for (const auto &w : wl::dacapoSuite()) {
-        const WorkloadRuns runs = runWorkload(
-            w, {core::CompilerConfig::atomicAggressiveInline()});
+    const std::vector<WorkloadRuns> suite =
+        runSuiteGrid(buildPrograms(suitePointers()),
+                     {core::CompilerConfig::atomicAggressiveInline()});
+    for (const WorkloadRuns &runs : suite) {
         const auto &m = runs.byConfig.at("atomic+aggr-inline");
-        const auto &paper = paperTable3().at(w.name);
+        const auto &paper = paperTable3().at(runs.workload);
         table.addRow({
-            w.name,
+            runs.workload,
             TextTable::pct(m.coverage, 0),
             "(" + TextTable::fmt(paper.coveragePct, 0) + "%)",
             std::to_string(m.uniqueRegions),

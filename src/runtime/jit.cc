@@ -1,5 +1,11 @@
 #include "runtime/jit.hh"
 
+#include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "runtime/service/code_cache.hh"
 #include "support/logging.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
@@ -8,6 +14,151 @@
 namespace aregion::runtime {
 
 namespace {
+
+namespace keys = telemetry::keys;
+
+/** Code budget of the store: the compile service's default. */
+constexpr size_t kStoreCodeBytes = 16u << 20;
+
+/** Held profiles and program copies, and remembered one-time keys;
+ *  each table is cleared when full. The benchmark's paper traffic
+ *  needs 7 profiles, 7 programs and 64 keys. */
+constexpr size_t kStorePrograms = 64;
+constexpr size_t kStoreSeenKeys = 4096;
+
+/**
+ * The experiment store: a process-wide memo of the two stages of a
+ * run that are pure functions of their inputs (docs/ARCHITECTURE.md).
+ *
+ *  - A profile depends only on the profile program, so it is keyed
+ *    by service::hashProgram.
+ *  - A compile depends only on (program, profile, config), so it is
+ *    keyed by service::cacheKey and held in a service::CodeCache.
+ *
+ * Lowering, execution and timing are not memoized: the timing model
+ * consumes every uop of an execution.
+ *
+ * A key is admitted on its second request, so requests that never
+ * repeat (a corpus of distinct programs) leave nothing behind. An
+ * admitted compile runs against a copy of the program that the store
+ * owns and shares among that program's entries, because ir::Module
+ * and MachineProgram hold raw pointers to it and the caller's program
+ * may be gone by the next hit. Entries are immutable and shared
+ * read-only across threads; two concurrent misses on one key both
+ * compute, and the second insert replaces the first with identical
+ * content.
+ */
+class ExperimentStore
+{
+  public:
+    static ExperimentStore &
+    global()
+    {
+        static ExperimentStore store;
+        return store;
+    }
+
+    std::shared_ptr<const vm::Profile>
+    profile(const vm::Program &prog)
+    {
+        auto &registry = telemetry::Registry::global();
+        const uint64_t key = service::hashProgram(prog);
+        bool admit;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            const auto it = profiles.find(key);
+            if (it != profiles.end()) {
+                registry.add(keys::kJitStoreProfileHits, 1);
+                registry.counter(keys::kJitProfileUs);
+                return it->second;
+            }
+            admit = secondRequestLocked(key);
+        }
+        auto fresh = std::make_shared<vm::Profile>(prog);
+        {
+            telemetry::ScopedSpan span("jit.profile");
+            telemetry::ScopedTimerUs timer(
+                registry.counter(keys::kJitProfileUs));
+            vm::Interpreter interp(prog, fresh.get());
+            const auto res = interp.run();
+            AREGION_ASSERT(res.completed || res.trap.has_value(),
+                           "profiling run hit the step budget");
+        }
+        fresh->publishTelemetry();
+        if (admit) {
+            std::lock_guard<std::mutex> lock(mu);
+            if (profiles.size() >= kStorePrograms)
+                profiles.clear();
+            profiles.emplace(key, fresh);
+        }
+        return fresh;
+    }
+
+    /** The compiled code, aliased into whatever keeps it alive: a
+     *  store entry (with its program) or a private compile. */
+    std::shared_ptr<const core::Compiled>
+    compile(const vm::Program &prog, const vm::Profile &profile,
+            const core::CompilerConfig &config)
+    {
+        auto &registry = telemetry::Registry::global();
+        const uint64_t key = service::cacheKey(prog, profile, config);
+        if (auto hit = code.lookup(key)) {
+            registry.add(keys::kJitStoreCompileHits, 1);
+            registry.counter(keys::kJitCompileUs);
+            return {hit, &hit->compiled};
+        }
+        bool admit;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            admit = secondRequestLocked(key);
+        }
+        if (!admit) {
+            return std::make_shared<const core::Compiled>(
+                core::compileProgram(prog, profile, config));
+        }
+        auto entry = std::make_shared<service::CachedCode>();
+        entry->key = key;
+        entry->program = programCopy(prog);
+        entry->compiled =
+            core::compileProgram(*entry->program, profile, config);
+        entry->sizeBytes = service::estimateCodeBytes(entry->compiled);
+        code.insert(entry);
+        return {entry, &entry->compiled};
+    }
+
+  private:
+    std::shared_ptr<const vm::Program>
+    programCopy(const vm::Program &prog)
+    {
+        const uint64_t key = service::hashProgram(prog);
+        std::lock_guard<std::mutex> lock(mu);
+        if (const auto it = programs.find(key); it != programs.end())
+            return it->second;
+        if (programs.size() >= kStorePrograms)
+            programs.clear();
+        return programs[key] = std::make_shared<const vm::Program>(prog);
+    }
+
+    /** Note a missed request; true when it is the key's second. */
+    bool
+    secondRequestLocked(uint64_t key)
+    {
+        if (seen.count(key))
+            return true;
+        if (seen.size() >= kStoreSeenKeys)
+            seen.clear();
+        seen.insert(key);
+        return false;
+    }
+
+    std::mutex mu;      ///< guards seen, profiles and programs
+    std::unordered_set<uint64_t> seen;
+    std::unordered_map<uint64_t, std::shared_ptr<const vm::Profile>>
+        profiles;
+    std::unordered_map<uint64_t, std::shared_ptr<const vm::Program>>
+        programs;
+    service::CodeCache code{kStoreCodeBytes};
+};
 
 /** hw runtime stats -> core adaptive telemetry. */
 core::AbortTelemetry
@@ -72,28 +223,25 @@ runExperiment(const vm::Program &profile_prog,
               const ExperimentConfig &config,
               const std::vector<SampleSpec> &samples)
 {
-    namespace keys = telemetry::keys;
     auto &registry = telemetry::Registry::global();
     registry.add(keys::kJitRuns, 1);
+    // Register the hit counters even when they stay zero so the
+    // exported schema is stable.
+    registry.counter(keys::kJitStoreProfileHits);
+    registry.counter(keys::kJitStoreCompileHits);
     telemetry::ScopedSpan run_span("jit.run");
+    ExperimentStore &store = ExperimentStore::global();
 
-    // Stage 1: first-pass profiling (interpreter).
-    vm::Profile profile(profile_prog);
-    {
-        telemetry::ScopedSpan span("jit.profile");
-        telemetry::ScopedTimerUs timer(
-            registry.counter(keys::kJitProfileUs));
-        vm::Interpreter interp(profile_prog, &profile);
-        const auto res = interp.run();
-        AREGION_ASSERT(res.completed || res.trap.has_value(),
-                       "profiling run hit the step budget");
-    }
-    profile.publishTelemetry();
+    // Stage 1: first-pass profiling (interpreter), unless the store
+    // holds this program's profile.
+    const std::shared_ptr<const vm::Profile> profile =
+        store.profile(profile_prog);
 
     // Stage 2: optimizing compilation (compileProgram owns the
-    // jit.compile span and the kJitCompileUs counter).
-    core::Compiled compiled =
-        core::compileProgram(measure_prog, profile, config.compiler);
+    // jit.compile span and the kJitCompileUs counter), unless the
+    // store holds this compile.
+    std::shared_ptr<const core::Compiled> compiled =
+        store.compile(measure_prog, *profile, config.compiler);
 
     // Stage 3: machine + timing execution. Resilience (when enabled)
     // arms the machine's livelock guard for every run, including the
@@ -105,7 +253,7 @@ runExperiment(const vm::Program &profile_prog,
         hw_eff.maxConsecutiveAborts = config.resilience.livelockBound;
     }
     MachineRun run =
-        executeCompiled(compiled, measure_prog, config, hw_eff);
+        executeCompiled(*compiled, measure_prog, config, hw_eff);
 
     // Stage 4: adaptive recompilation on abort feedback.
     bool recompiled = false;
@@ -122,7 +270,7 @@ runExperiment(const vm::Program &profile_prog,
             if (storms.empty())
                 break;
             const auto computed = config.controller.computeOverrides(
-                compiled.mod, toTelemetry(run.result));
+                compiled->mod, toTelemetry(run.result));
             const size_t before = updated.region.warmOverrides.size();
             updated.region.warmOverrides.insert(computed.begin(),
                                                 computed.end());
@@ -133,9 +281,8 @@ runExperiment(const vm::Program &profile_prog,
             if (!decision.recompile)
                 continue;   // backing off this round
             updated.region.blacklistMethods = tracker.blacklisted();
-            compiled = core::compileProgram(measure_prog, profile,
-                                            updated);
-            run = executeCompiled(compiled, measure_prog, config,
+            compiled = store.compile(measure_prog, *profile, updated);
+            run = executeCompiled(*compiled, measure_prog, config,
                                   hw_eff);
             recompiled = true;
             tracker.noteRecompile();
@@ -144,14 +291,13 @@ runExperiment(const vm::Program &profile_prog,
         tracker.publishTelemetry();
     } else if (config.adaptiveRecompile && run.result.completed) {
         const auto overrides = config.controller.computeOverrides(
-            compiled.mod, toTelemetry(run.result));
+            compiled->mod, toTelemetry(run.result));
         if (!overrides.empty()) {
             telemetry::ScopedSpan span("jit.adaptive");
             core::CompilerConfig updated = config.compiler;
             updated.region.warmOverrides = overrides;
-            compiled = core::compileProgram(measure_prog, profile,
-                                            updated);
-            run = executeCompiled(compiled, measure_prog, config,
+            compiled = store.compile(measure_prog, *profile, updated);
+            run = executeCompiled(*compiled, measure_prog, config,
                                   hw_eff);
             recompiled = true;
             registry.add(keys::kJitRecompiles, 1);

@@ -11,6 +11,11 @@
  *
  * Profile and measurement inputs may differ (the profile variant of
  * a workload), reproducing profile-drift effects such as pmd's.
+ *
+ * Stages 1 and 2 go through a process-wide experiment store: a
+ * profile or compile requested a second time is kept, and later
+ * requests reuse it instead of re-running the interpreter or the
+ * compiler (docs/ARCHITECTURE.md). Results are identical either way.
  */
 
 #ifndef AREGION_RUNTIME_JIT_HH

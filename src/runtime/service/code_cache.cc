@@ -191,8 +191,11 @@ estimateCodeBytes(const core::Compiled &compiled)
 {
     // Capacity model (docs/SERVICE.md): per-instruction footprint of
     // the retained HIR plus per-function CFG overhead plus a fixed
-    // per-entry cost for the cache bookkeeping and stats block.
-    constexpr size_t kBytesPerInstr = 48;
+    // per-entry cost for the cache bookkeeping and stats block. The
+    // per-instruction cost is fitted to the heap the compiles of the
+    // DaCapo analogs keep: an 80-byte ir::Instr, its operand vector,
+    // and the block vectors' spare capacity.
+    constexpr size_t kBytesPerInstr = 128;
     constexpr size_t kBytesPerFunc = 256;
     constexpr size_t kBytesPerEntry = 512;
     return kBytesPerEntry +

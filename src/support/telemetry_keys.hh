@@ -166,6 +166,14 @@ inline constexpr const char *kJitRecompiles = "jit.recompiles";
 inline constexpr const char *kJitProfileUs = "jit.profile_us";
 inline constexpr const char *kJitCompileUs = "jit.compile_us";
 inline constexpr const char *kJitMachineUs = "jit.machine_us";
+// Experiment-store hits (src/runtime/jit.cc): runs whose profile or
+// compile came from the store instead of the interpreter or
+// compileProgram. Base: jit.runs (one profile and one compile lookup
+// per run, plus one compile lookup per jit.recompiles).
+inline constexpr const char *kJitStoreProfileHits =
+    "jit.store.profile_hits";
+inline constexpr const char *kJitStoreCompileHits =
+    "jit.store.compile_hits";
 // Cumulative per-pass optimizer time (opt/pass.cc pipelines).
 // Schema v2 (SSA pipeline): constant_fold/copy_prop became sccp_us,
 // cse became gvn_us, and ssa_us covers SSA build + destroy.
@@ -336,7 +344,8 @@ catalogInfo()
           kTimingInjectMispredict, kTimingLeakRegions,
           kTimingLeakFlagged, kTimingLeakLines, kTimingLeakBranches,
           kJitRuns, kJitRecompiles, kJitProfileUs, kJitCompileUs,
-          kJitMachineUs, kJitPassSsaUs, kJitPassSimplifyCfgUs,
+          kJitMachineUs, kJitStoreProfileHits, kJitStoreCompileHits,
+          kJitPassSsaUs, kJitPassSimplifyCfgUs,
           kJitPassSccpUs, kJitPassGvnUs,
           kJitPassDceUs, kJitPassInlineUs, kJitPassUnrollUs,
           kResilienceStorms, kResilienceRecompiles,

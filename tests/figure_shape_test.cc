@@ -35,10 +35,12 @@ suiteRuns()
 {
     static const SuiteRuns runs = [] {
         SuiteRuns out;
-        for (const auto &w : wl::dacapoSuite()) {
-            out.byWorkload.emplace(
-                w.name,
-                runWorkload(w, paperConfigs(w.name == "jython")));
+        for (WorkloadRuns &runs : runSuiteGrid(
+                 buildPrograms(suitePointers()),
+                 [](const wl::Workload &w) {
+                     return paperConfigs(w.name == "jython");
+                 })) {
+            out.byWorkload.emplace(runs.workload, std::move(runs));
         }
         return out;
     }();
@@ -99,23 +101,23 @@ TEST(FigureShape, UopReductionTracksFigure8)
 TEST(FigureShape, DegradedPrimitivesEraseTheWin)
 {
     // Figure 9 on the two biggest winners.
-    for (const char *name : {"xalan", "hsqldb"}) {
-        const auto &w = wl::workloadByName(name);
-        const auto chk = runWorkload(
-            w, {core::CompilerConfig::baseline(),
-                core::CompilerConfig::atomicAggressiveInline()},
-            hw::TimingConfig::baseline());
-        const auto stall = runWorkload(
-            w, {core::CompilerConfig::baseline(),
-                core::CompilerConfig::atomicAggressiveInline()},
-            hw::TimingConfig::stallBegin());
+    const std::vector<BuiltWorkload> built =
+        buildPrograms(suitePointers({"xalan", "hsqldb"}));
+    const std::vector<core::CompilerConfig> configs{
+        core::CompilerConfig::baseline(),
+        core::CompilerConfig::atomicAggressiveInline()};
+    const auto chk =
+        runSuiteGrid(built, configs, hw::TimingConfig::baseline());
+    const auto stall =
+        runSuiteGrid(built, configs, hw::TimingConfig::stallBegin());
+    for (size_t wi = 0; wi < built.size(); ++wi) {
         const double s_chk = speedupPct(
-            chk.byConfig.at("no-atomic"),
-            chk.byConfig.at("atomic+aggr-inline"));
+            chk[wi].byConfig.at("no-atomic"),
+            chk[wi].byConfig.at("atomic+aggr-inline"));
         const double s_stall = speedupPct(
-            stall.byConfig.at("no-atomic"),
-            stall.byConfig.at("atomic+aggr-inline"));
-        EXPECT_LT(s_stall, s_chk / 2) << name;
+            stall[wi].byConfig.at("no-atomic"),
+            stall[wi].byConfig.at("atomic+aggr-inline"));
+        EXPECT_LT(s_stall, s_chk / 2) << chk[wi].workload;
     }
 }
 

@@ -13,6 +13,8 @@
  * tools/golden_gen.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "golden_harness.hh"
@@ -32,6 +34,18 @@ struct GoldenEntry
     uint64_t regionAborts;
     uint64_t regionFingerprint;
 };
+
+/**
+ * Print a row by its workload name. gtest's default printer dumps
+ * the raw object bytes, which include the address of the name string;
+ * under ASLR that address changes on every run, and so would the test
+ * names that CTest records from the listing.
+ */
+void
+PrintTo(const GoldenEntry &entry, std::ostream *os)
+{
+    *os << entry.workload;
+}
 
 /**
  * Recorded by tools/golden_gen. Regenerated when the optimizer moved

@@ -78,13 +78,15 @@ fi
 # the same Machine) — the paths where host-thread races can live.
 # The Ir|Opt leg rides along: compiles run concurrently on service
 # worker threads and grid cells, so the SSA passes' shared telemetry
-# writes belong under TSan too.
+# writes belong under TSan too. So does the experiment-store suite
+# (StoreTest.*): grid workers look up, insert and share the store's
+# profiles and compiled code behind runExperiment.
 cmake --preset tsan -S "$root"
 cmake --build "$build_tsan" -j "$(nproc 2>/dev/null || echo 4)"
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$build_tsan" --output-on-failure \
           -j "$(nproc 2>/dev/null || echo 4)" \
-          -R 'Contention|Service|fuzz-smoke|Bisim|Leak|Ir|Opt'
+          -R 'Contention|Service|Store|fuzz-smoke|Bisim|Leak|Ir|Opt'
 
-echo "check_sanitizers: contention + service + ir/opt + bisim/leak suites + fuzz smoke clean under TSan"
+echo "check_sanitizers: contention + service + store + ir/opt + bisim/leak suites + fuzz smoke clean under TSan"
