@@ -2,10 +2,7 @@
 
 #include <string>
 
-#include "ir/printer.hh"
 #include "opt/pass.hh"
-#include "support/telemetry.hh"
-#include "support/telemetry_keys.hh"
 
 namespace aregion::runtime::service {
 
@@ -189,12 +186,12 @@ cacheKey(const vm::Program &prog, const vm::Profile &profile,
 size_t
 estimateCodeBytes(const core::Compiled &compiled)
 {
-    // Capacity model (docs/SERVICE.md): per-instruction footprint of
-    // the retained HIR plus per-function CFG overhead plus a fixed
-    // per-entry cost for the cache bookkeeping and stats block. The
-    // per-instruction cost is fitted to the heap the compiles of the
-    // DaCapo analogs keep: an 80-byte ir::Instr, its operand vector,
-    // and the block vectors' spare capacity.
+    // Capacity model (docs/ARCHITECTURE.md): per-instruction
+    // footprint of the retained HIR plus per-function CFG overhead
+    // plus a fixed per-entry cost for the cache bookkeeping and stats
+    // block. The per-instruction cost is fitted to the heap the
+    // compiles of the DaCapo analogs keep: an 80-byte ir::Instr, its
+    // operand vector, and the block vectors' spare capacity.
     constexpr size_t kBytesPerInstr = 128;
     constexpr size_t kBytesPerFunc = 256;
     constexpr size_t kBytesPerEntry = 512;
@@ -204,46 +201,24 @@ estimateCodeBytes(const core::Compiled &compiled)
                kBytesPerInstr;
 }
 
-uint64_t
-codeChecksum(const core::Compiled &compiled)
-{
-    Fnv h;
-    for (const auto &[mid, func] : compiled.mod.funcs) {
-        h.i64(mid);
-        h.str(ir::toString(func));
-    }
-    return h.state;
-}
-
 std::shared_ptr<const CachedCode>
 CodeCache::lookup(uint64_t key)
 {
     std::lock_guard<std::mutex> lock(mu);
     auto it = table.find(key);
-    if (it == table.end()) {
-        missCount++;
+    if (it == table.end())
         return nullptr;
-    }
-    hitCount++;
     lruOrder.splice(lruOrder.begin(), lruOrder, it->second.lru);
     return it->second.code;
 }
 
-std::shared_ptr<const CachedCode>
-CodeCache::peek(uint64_t key) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = table.find(key);
-    return it == table.end() ? nullptr : it->second.code;
-}
-
-size_t
+void
 CodeCache::insert(const std::shared_ptr<const CachedCode> &code)
 {
     std::lock_guard<std::mutex> lock(mu);
     auto it = table.find(code->key);
     if (it != table.end()) {
-        // Replacement (recompile path): swap the payload in place.
+        // Two concurrent misses on one key: swap the payload in place.
         bytesUsed -= it->second.code->sizeBytes;
         it->second.code = code;
         bytesUsed += code->sizeBytes;
@@ -253,94 +228,14 @@ CodeCache::insert(const std::shared_ptr<const CachedCode> &code)
         table[code->key] = Entry{code, lruOrder.begin()};
         bytesUsed += code->sizeBytes;
     }
-    const uint64_t before = evictionCount;
-    evictOverBudgetLocked(code->key);
-    return static_cast<size_t>(evictionCount - before);
-}
-
-void
-CodeCache::evictOverBudgetLocked(uint64_t keep_key)
-{
+    // The entry just inserted is at the front, so it is never the
+    // victim: an oversized one stays until the next insert.
     while (bytesUsed > budget && table.size() > 1) {
-        const uint64_t victim = lruOrder.back();
-        if (victim == keep_key)
-            break;  // never evict the entry being served right now
-        auto it = table.find(victim);
-        bytesUsed -= it->second.code->sizeBytes;
+        auto victim = table.find(lruOrder.back());
+        bytesUsed -= victim->second.code->sizeBytes;
         lruOrder.pop_back();
-        table.erase(it);
-        evictionCount++;
+        table.erase(victim);
     }
-}
-
-void
-CodeCache::invalidate(uint64_t key)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = table.find(key);
-    if (it == table.end())
-        return;
-    bytesUsed -= it->second.code->sizeBytes;
-    lruOrder.erase(it->second.lru);
-    table.erase(it);
-}
-
-size_t
-CodeCache::entries() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return table.size();
-}
-
-size_t
-CodeCache::bytes() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return bytesUsed;
-}
-
-uint64_t
-CodeCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return hitCount;
-}
-
-uint64_t
-CodeCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return missCount;
-}
-
-uint64_t
-CodeCache::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return evictionCount;
-}
-
-void
-CodeCache::publishTelemetry() const
-{
-    namespace keys = telemetry::keys;
-    auto &reg = telemetry::Registry::global();
-    std::lock_guard<std::mutex> lock(mu);
-    // Counters are cumulative per process; publish deltas since the
-    // last publish so repeated calls never double-count.
-    auto delta = [&](const char *key, uint64_t total,
-                     uint64_t &published) {
-        reg.add(key, total - published);
-        published = total;
-    };
-    delta(keys::kServiceCacheHits, hitCount, publishedHits);
-    delta(keys::kServiceCacheMisses, missCount, publishedMisses);
-    delta(keys::kServiceCacheEvictions, evictionCount,
-          publishedEvictions);
-    reg.set(keys::kServiceCacheBytes,
-            static_cast<double>(bytesUsed));
-    reg.set(keys::kServiceCacheEntries,
-            static_cast<double>(table.size()));
 }
 
 } // namespace aregion::runtime::service

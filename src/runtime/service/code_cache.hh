@@ -1,6 +1,7 @@
 /**
  * @file
- * Content-addressed region code cache for the compile service.
+ * Content address and byte-budgeted LRU behind the experiment
+ * store's compile memo (runtime/jit.cc, docs/ARCHITECTURE.md).
  *
  * An entry is one compiled module (core::Compiled) keyed by a 64-bit
  * content address:
@@ -11,21 +12,23 @@
  * where H is FNV-1a over a canonical serialization. Two requests
  * with the same key are guaranteed (by compileProgram's determinism)
  * to produce byte-identical IR, so the cache can hand the same
- * immutable CachedCode to every tenant that asks — cross-tenant
- * deduplication is the whole point of the service. The pass
+ * immutable CachedCode to every caller that asks. The pass
  * fingerprint folds opt::pipelinePassNames() plus a manually bumped
  * schema version into the key, so reordering the pass pipeline or
  * changing a pass's semantics (bump kPassSchemaVersion!) invalidates
  * every stale entry instead of serving wrong code.
  *
- * Eviction is strict LRU over a byte budget (see docs/SERVICE.md for
- * the bytes-per-entry capacity model). The newest entry is never
- * evicted — an entry larger than the whole budget is still served to
- * its requesters and only displaced by the next insert.
+ * Eviction is strict LRU over a byte budget counted in
+ * estimateCodeBytes (capacity model: docs/ARCHITECTURE.md). The
+ * newest entry is never evicted — an entry larger than the whole
+ * budget is still served to its requesters and only displaced by
+ * the next insert.
  *
- * Thread-safe: every public method takes the internal mutex. Hit,
- * miss, eviction, and size telemetry lands under `service.cache.*`
- * (docs/TELEMETRY.md).
+ * The header keeps its path and namespace because the benchmark
+ * (perfbench/suite.cc) includes it for hashProgram and
+ * hashCompilerConfig.
+ *
+ * Thread-safe: every CodeCache method takes the internal mutex.
  */
 
 #ifndef AREGION_RUNTIME_SERVICE_CODE_CACHE_HH
@@ -46,7 +49,7 @@ namespace aregion::runtime::service {
 /**
  * One immutable cache entry. The compiled module's ir::Module holds
  * a raw pointer to its source program, so the entry keeps the
- * program alive alongside the code — clients may lower and run the
+ * program alive alongside the code — callers may lower and run the
  * module for as long as they hold the shared_ptr, even after the
  * entry was evicted.
  */
@@ -56,17 +59,8 @@ struct CachedCode
     std::shared_ptr<const vm::Program> program;
     core::Compiled compiled;
 
-    /** FNV-1a over the printed IR of every function, in method-id
-     *  order: the oracle identity used by tests and bench_service to
-     *  prove cached code equals a fresh compile. */
-    uint64_t codeChecksum = 0;
-
-    /** Estimated resident bytes (capacity model: docs/SERVICE.md). */
+    /** Estimated resident bytes (estimateCodeBytes). */
     size_t sizeBytes = 0;
-
-    /** True when admission control forced this compile
-     *  non-speculative (no regions formed). */
-    bool nonSpeculative = false;
 };
 
 /** Canonical serialization hashes for the content address. */
@@ -87,66 +81,32 @@ uint64_t cacheKey(const vm::Program &prog, const vm::Profile &profile,
 /** Capacity-model size estimate for a compiled module. */
 size_t estimateCodeBytes(const core::Compiled &compiled);
 
-/** Post-compile identity checksum (printed-IR FNV). */
-uint64_t codeChecksum(const core::Compiled &compiled);
-
 /** LRU, byte-budgeted, content-addressed cache. */
 class CodeCache
 {
   public:
     explicit CodeCache(size_t byte_budget) : budget(byte_budget) {}
 
-    /** Hit: bump LRU recency and return the entry (counts
-     *  `service.cache.hits`). Miss: nullptr (counts
-     *  `service.cache.misses`). */
+    /** Hit: bump LRU recency and return the entry. Miss: nullptr. */
     std::shared_ptr<const CachedCode> lookup(uint64_t key);
-
-    /** As lookup(), but without touching hit/miss telemetry or
-     *  recency — for introspection and tests. */
-    std::shared_ptr<const CachedCode> peek(uint64_t key) const;
 
     /**
      * Insert (or replace) the entry and evict least-recently-used
      * entries until the byte budget holds again. The entry just
-     * inserted is exempt from its own eviction round. Returns the
-     * number of entries evicted.
+     * inserted is exempt from its own eviction round.
      */
-    size_t insert(const std::shared_ptr<const CachedCode> &code);
-
-    /** Drop one key (a recompile request invalidates stale code). */
-    void invalidate(uint64_t key);
-
-    size_t entries() const;
-    size_t bytes() const;
-    size_t byteBudget() const { return budget; }
-
-    uint64_t hits() const;
-    uint64_t misses() const;
-    uint64_t evictions() const;
-
-    /** Mirror counters + size gauges into `service.cache.*`. */
-    void publishTelemetry() const;
+    void insert(const std::shared_ptr<const CachedCode> &code);
 
   private:
-    void evictOverBudgetLocked(uint64_t keep_key);
-
     struct Entry
     {
         std::shared_ptr<const CachedCode> code;
         std::list<uint64_t>::iterator lru;  ///< position in lruOrder
     };
 
-    mutable std::mutex mu;
+    std::mutex mu;
     size_t budget;
     size_t bytesUsed = 0;
-    uint64_t hitCount = 0;
-    uint64_t missCount = 0;
-    uint64_t evictionCount = 0;
-    /** Values already mirrored into the registry, so repeated
-     *  publishTelemetry() calls add deltas, never double-count. */
-    mutable uint64_t publishedHits = 0;
-    mutable uint64_t publishedMisses = 0;
-    mutable uint64_t publishedEvictions = 0;
     std::list<uint64_t> lruOrder;           ///< front = most recent
     std::map<uint64_t, Entry> table;
 };

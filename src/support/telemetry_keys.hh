@@ -249,50 +249,6 @@ inline constexpr const char *kContentionOracleChecks =
 inline constexpr const char *kContentionDivergences =
     "contention.divergences";
 
-// --- service.* (src/runtime/service/) ----------------------------
-// JIT-compile-as-a-service: request/compile volume, content-addressed
-// cache effectiveness, admission-control outcomes, and latency /
-// queue-depth distributions (full contract in docs/SERVICE.md).
-inline constexpr const char *kServiceRequests = "service.requests";
-inline constexpr const char *kServiceCompiles = "service.compiles";
-inline constexpr const char *kServiceCompilesNonSpec =
-    "service.compiles_nonspec";
-inline constexpr const char *kServiceCacheHits =
-    "service.cache.hits";
-inline constexpr const char *kServiceCacheMisses =
-    "service.cache.misses";
-inline constexpr const char *kServiceCacheEvictions =
-    "service.cache.evictions";
-inline constexpr const char *kServiceCacheDedup =
-    "service.cache.dedup";
-inline constexpr const char *kServiceCacheBytes =
-    "service.cache.bytes";                 // gauge
-inline constexpr const char *kServiceCacheEntries =
-    "service.cache.entries";               // gauge
-inline constexpr const char *kServiceRejectedQueueFull =
-    "service.rejected.queue_full";
-inline constexpr const char *kServiceRejectedBackoff =
-    "service.rejected.backoff";
-// Requests rejected because the tenant exhausted its per-round
-// compile-time quota (AdmissionPolicy::compileUsQuotaPerRound).
-// Registered only when the quota is enabled.
-inline constexpr const char *kServiceRejectedQuota =
-    "service.rejected.quota";
-inline constexpr const char *kServiceAdmissionStorms =
-    "service.admission.storms";
-inline constexpr const char *kServiceAdmissionBlacklisted =
-    "service.admission.blacklisted";
-inline constexpr const char *kServiceQueueDepth =
-    "service.queue.depth";                 // histogram
-inline constexpr const char *kServiceCompileUs =
-    "service.compile_us";                  // histogram
-inline constexpr const char *kServiceRequestUs =
-    "service.request_us";                  // histogram
-inline constexpr const char *kServiceShards =
-    "service.shards";                      // gauge
-inline constexpr const char *kServiceWorkers =
-    "service.workers";                     // gauge
-
 // --- profile.* (src/vm/profile.cc) -------------------------------
 inline constexpr const char *kProfileMethods = "profile.methods";
 inline constexpr const char *kProfileBytecodes =
@@ -359,27 +315,16 @@ catalogInfo()
           kFuzzSeeds, kFuzzSkipped, kFuzzTrapped, kFuzzThreaded,
           kFuzzExecutorRuns, kFuzzPrefixes, kFuzzDivergences,
           kFuzzMinimized, kFuzzMinimizerCalls,
-          kServiceRequests, kServiceCompiles, kServiceCompilesNonSpec,
-          kServiceCacheHits, kServiceCacheMisses,
-          kServiceCacheEvictions, kServiceCacheDedup,
-          kServiceRejectedQueueFull, kServiceRejectedBackoff,
-          kServiceRejectedQuota,
-          kServiceAdmissionStorms, kServiceAdmissionBlacklisted,
           kProfileMethods, kProfileBytecodes, kProfileBranchSites,
           kProfileCallSites, kProfileInvocations}) {
         all.push_back({k, KeyKind::Counter});
     }
     all.push_back({kTimingIpc, KeyKind::Gauge});
     all.push_back({kDriverThreads, KeyKind::Gauge});
-    all.push_back({kServiceCacheBytes, KeyKind::Gauge});
-    all.push_back({kServiceCacheEntries, KeyKind::Gauge});
-    all.push_back({kServiceShards, KeyKind::Gauge});
-    all.push_back({kServiceWorkers, KeyKind::Gauge});
     for (const char *k :
          {kMachineRegionSize, kMachineRegionFootprint,
           kMachineRegionReadLines, kMachineRegionWriteLines,
-          kFuzzMainBytecodes, kServiceQueueDepth, kServiceCompileUs,
-          kServiceRequestUs}) {
+          kFuzzMainBytecodes}) {
         all.push_back({k, KeyKind::Hist});
     }
     return all;

@@ -47,7 +47,8 @@ enum Feature : uint32_t {
     kMultiContext  = 1u << 7,   ///< 2-4 workers contending one object
 };
 
-/** The legacy tests/random_program.hh profiles. */
+/** The profiles of the property sweeps and oracle grids in tests/:
+ *  scalar code, or scalar code plus objects and monitors. */
 inline constexpr uint32_t kLegacyScalar = kArrays;
 inline constexpr uint32_t kLegacyObjects = kArrays | kObjects | kMonitors;
 inline constexpr uint32_t kAllFeatures = (1u << 8) - 1;

@@ -15,13 +15,16 @@
 #include "ir/translate.hh"
 #include "ir/verifier.hh"
 #include "programs.hh"
-#include "random_program.hh"
+#include "testing/random_program.hh"
 #include "vm/interpreter.hh"
 
 namespace {
 
 using namespace aregion;
 using namespace aregion::test;
+using aregion::testing::kLegacyScalar;
+using aregion::testing::RandomProgramGen;
+using aregion::testing::renderProgram;
 namespace ir = aregion::ir;
 namespace core = aregion::core;
 
@@ -252,8 +255,8 @@ TEST(Formation, RandomProgramsSurviveAtomicCompilation)
 {
     for (uint64_t seed = 100; seed < 115; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        RandomProgramGen gen(seed);
-        const Program prog = gen.generate();
+        RandomProgramGen gen(seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         Profile profile(prog);
         core::CompilerConfig config = core::CompilerConfig::atomic();
         config.region.loopPathThreshold = 20;   // form more regions

@@ -22,8 +22,8 @@
 #include "hw/bisim.hh"
 #include "hw/codegen.hh"
 #include "hw/machine.hh"
-#include "random_program.hh"
 #include "support/failpoint.hh"
+#include "testing/random_program.hh"
 #include "vm/builder.hh"
 #include "vm/interpreter.hh"
 #include "vm/layout.hh"
@@ -31,7 +31,11 @@
 namespace {
 
 using namespace aregion;
-using namespace aregion::test;
+using namespace aregion::vm;
+using aregion::testing::kLegacyObjects;
+using aregion::testing::kLegacyScalar;
+using aregion::testing::RandomProgramGen;
+using aregion::testing::renderProgram;
 namespace core = aregion::core;
 namespace hw = aregion::hw;
 namespace fp = aregion::failpoint;
@@ -117,9 +121,9 @@ TEST_F(BisimOracleTest, RandomProgramsBisimulateUnderInjectedAborts)
     uint64_t total_aborts = 0;
 
     for (uint64_t prog_seed = 1; prog_seed <= 14; ++prog_seed) {
-        RandomProgramGen gen(prog_seed);
-        gen.withObjects = prog_seed % 2 == 0;
-        const Program prog = gen.generate();
+        RandomProgramGen gen(
+            prog_seed, prog_seed % 2 == 0 ? kLegacyObjects : kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
 
         Interpreter ref(prog);
         ASSERT_TRUE(ref.run().completed) << "seed " << prog_seed;
@@ -163,8 +167,8 @@ TEST_F(BisimOracleTest, NaturalAbortsBisimulate)
     config.l1Assoc = 2;
 
     for (uint64_t prog_seed : {3ull, 7ull, 12ull}) {
-        RandomProgramGen gen(prog_seed);
-        const Program prog = gen.generate();
+        RandomProgramGen gen(prog_seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         Interpreter ref(prog);
         ASSERT_TRUE(ref.run().completed);
         const auto mp = compileToMachine(prog);
@@ -182,7 +186,8 @@ TEST_F(BisimOracleTest, OracleIsPureObserver)
     hw::HwConfig config;
     config.interruptPeriod = 20'000;
     for (uint64_t prog_seed : {2ull, 9ull}) {
-        const Program prog = RandomProgramGen(prog_seed).generate();
+        RandomProgramGen gen(prog_seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         const auto mp = compileToMachine(prog);
 
         auto &fps = fp::Registry::global();

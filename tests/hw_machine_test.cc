@@ -14,13 +14,16 @@
 #include "hw/machine.hh"
 #include "ir/translate.hh"
 #include "programs.hh"
-#include "random_program.hh"
+#include "testing/random_program.hh"
 #include "vm/interpreter.hh"
 
 namespace {
 
 using namespace aregion;
 using namespace aregion::test;
+using aregion::testing::kLegacyScalar;
+using aregion::testing::RandomProgramGen;
+using aregion::testing::renderProgram;
 namespace ir = aregion::ir;
 namespace core = aregion::core;
 namespace hw = aregion::hw;
@@ -163,8 +166,8 @@ TEST(MachineEquiv, RandomProgramsUnderBothCompilers)
 {
     for (uint64_t seed = 200; seed < 212; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        RandomProgramGen gen(seed);
-        const Program prog = gen.generate();
+        RandomProgramGen gen(seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         Interpreter check(prog);
         ASSERT_TRUE(check.run().completed);
 

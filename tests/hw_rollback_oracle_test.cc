@@ -20,14 +20,18 @@
 #include "hw/codegen.hh"
 #include "hw/machine.hh"
 #include "hw/oracle.hh"
-#include "random_program.hh"
 #include "support/failpoint.hh"
+#include "testing/random_program.hh"
 #include "vm/interpreter.hh"
 
 namespace {
 
 using namespace aregion;
-using namespace aregion::test;
+using namespace aregion::vm;
+using aregion::testing::kLegacyObjects;
+using aregion::testing::kLegacyScalar;
+using aregion::testing::RandomProgramGen;
+using aregion::testing::renderProgram;
 namespace core = aregion::core;
 namespace hw = aregion::hw;
 namespace fp = aregion::failpoint;
@@ -114,9 +118,9 @@ TEST_F(RollbackOracleTest, RandomProgramsSurviveInjectedAborts)
     uint64_t total_aborts = 0;
 
     for (uint64_t prog_seed = 1; prog_seed <= 18; ++prog_seed) {
-        RandomProgramGen gen(prog_seed);
-        gen.withObjects = prog_seed % 2 == 0;
-        const Program prog = gen.generate();
+        RandomProgramGen gen(
+            prog_seed, prog_seed % 2 == 0 ? kLegacyObjects : kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
 
         Interpreter ref(prog);
         ASSERT_TRUE(ref.run().completed) << "seed " << prog_seed;
@@ -160,8 +164,8 @@ TEST_F(RollbackOracleTest, NaturalAbortsAreConsistent)
     config.l1Assoc = 2;
 
     for (uint64_t prog_seed : {3ull, 7ull, 12ull}) {
-        RandomProgramGen gen(prog_seed);
-        const Program prog = gen.generate();
+        RandomProgramGen gen(prog_seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         Interpreter ref(prog);
         ASSERT_TRUE(ref.run().completed);
         const auto mp = compileToMachine(prog);
@@ -176,7 +180,8 @@ TEST_F(RollbackOracleTest, NaturalAbortsAreConsistent)
  *  abort state directly and expect divergences for each component. */
 TEST_F(RollbackOracleTest, OracleDetectsTamperedState)
 {
-    const Program prog = RandomProgramGen(1).generate();
+    RandomProgramGen gen(1, kLegacyScalar);
+    const Program prog = renderProgram(gen.generate());
     vm::Heap heap(prog, 1 << 16);
     const uint64_t obj = heap.allocObject(0);
 
@@ -203,7 +208,8 @@ TEST_F(RollbackOracleTest, OracleDetectsTamperedState)
  *  without a begin is itself flagged. */
 TEST_F(RollbackOracleTest, OracleTracksBeginAbortPairing)
 {
-    const Program prog = RandomProgramGen(1).generate();
+    RandomProgramGen gen(1, kLegacyScalar);
+    const Program prog = renderProgram(gen.generate());
     vm::Heap heap(prog, 1 << 16);
 
     hw::RollbackOracle oracle;
@@ -224,7 +230,8 @@ TEST_F(RollbackOracleTest, InjectedAssertsLookExplicit)
 {
     bool fired = false;
     for (uint64_t seed = 1; seed <= 30 && !fired; ++seed) {
-        const Program prog = RandomProgramGen(seed).generate();
+        RandomProgramGen gen(seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         Interpreter ref(prog);
         ASSERT_TRUE(ref.run().completed) << "seed " << seed;
         const auto mp = compileToMachine(prog);
@@ -259,7 +266,8 @@ TEST_F(RollbackOracleTest, InjectedInterruptsAbortAsInterrupts)
 {
     bool fired = false;
     for (uint64_t seed = 1; seed <= 30 && !fired; ++seed) {
-        const Program prog = RandomProgramGen(seed).generate();
+        RandomProgramGen gen(seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         Interpreter ref(prog);
         ASSERT_TRUE(ref.run().completed) << "seed " << seed;
         const auto mp = compileToMachine(prog);
@@ -288,9 +296,9 @@ TEST_F(RollbackOracleTest, InjectedCapacityForcesOverflow)
 {
     bool forced = false;
     for (uint64_t seed = 1; seed <= 30 && !forced; ++seed) {
-        RandomProgramGen gen(seed);
-        gen.withObjects = true;     // heap traffic -> wide footprints
-        const Program prog = gen.generate();
+        // Heap traffic -> wide footprints.
+        RandomProgramGen gen(seed, kLegacyObjects);
+        const Program prog = renderProgram(gen.generate());
         Interpreter ref(prog);
         ASSERT_TRUE(ref.run().completed) << "seed " << seed;
         const auto mp = compileToMachine(prog);
@@ -331,7 +339,8 @@ TEST_F(RollbackOracleTest, InjectedCapacityForcesOverflow)
  */
 TEST_F(RollbackOracleTest, LivelockGuardKeepsForwardProgress)
 {
-    const Program prog = RandomProgramGen(8).generate();
+    RandomProgramGen gen(8, kLegacyScalar);
+    const Program prog = renderProgram(gen.generate());
     Interpreter ref(prog);
     ASSERT_TRUE(ref.run().completed);
     const auto mp = compileToMachine(prog);
@@ -358,7 +367,8 @@ TEST_F(RollbackOracleTest, LivelockGuardKeepsForwardProgress)
  *  the guard must not be load-bearing for correctness. */
 TEST_F(RollbackOracleTest, StormCompletesEvenWithoutGuard)
 {
-    const Program prog = RandomProgramGen(8).generate();
+    RandomProgramGen gen(8, kLegacyScalar);
+    const Program prog = renderProgram(gen.generate());
     Interpreter ref(prog);
     ASSERT_TRUE(ref.run().completed);
     const auto mp = compileToMachine(prog);

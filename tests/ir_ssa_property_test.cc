@@ -24,14 +24,18 @@
 #include "ir/translate.hh"
 #include "ir/verifier.hh"
 #include "programs.hh"
-#include "random_program.hh"
 #include "support/random.hh"
+#include "testing/random_program.hh"
 #include "vm/interpreter.hh"
 
 namespace {
 
 using namespace aregion;
 using namespace aregion::test;
+using aregion::testing::kLegacyObjects;
+using aregion::testing::kLegacyScalar;
+using aregion::testing::RandomProgramGen;
+using aregion::testing::renderProgram;
 namespace ir = aregion::ir;
 
 /**
@@ -212,8 +216,8 @@ TEST(SsaRoundTrip, IrPreservesBehaviourOnRandomScalarPrograms)
 {
     for (uint64_t seed = 1; seed <= 25; ++seed) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
-        RandomProgramGen gen(seed);
-        checkRoundTrip(gen.generate());
+        RandomProgramGen gen(seed, kLegacyScalar);
+        checkRoundTrip(renderProgram(gen.generate()));
     }
 }
 
@@ -221,9 +225,8 @@ TEST(SsaRoundTrip, IrPreservesBehaviourOnRandomObjectPrograms)
 {
     for (uint64_t seed = 100; seed <= 120; ++seed) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
-        RandomProgramGen gen(seed);
-        gen.withObjects = true;
-        checkRoundTrip(gen.generate());
+        RandomProgramGen gen(seed, kLegacyObjects);
+        checkRoundTrip(renderProgram(gen.generate()));
     }
 }
 

@@ -16,13 +16,16 @@
 #include "ir/verifier.hh"
 #include "opt/pass.hh"
 #include "programs.hh"
-#include "random_program.hh"
+#include "testing/random_program.hh"
 #include "vm/interpreter.hh"
 
 namespace {
 
 using namespace aregion;
 using namespace aregion::test;
+using aregion::testing::kLegacyScalar;
+using aregion::testing::RandomProgramGen;
+using aregion::testing::renderProgram;
 namespace ir = aregion::ir;
 namespace opt = aregion::opt;
 
@@ -598,8 +601,8 @@ TEST(OptProperty, RandomProgramsSurviveFullPipeline)
 {
     for (uint64_t seed = 1; seed <= 25; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        RandomProgramGen gen(seed);
-        const Program prog = gen.generate();
+        RandomProgramGen gen(seed, kLegacyScalar);
+        const Program prog = renderProgram(gen.generate());
         Profile profile(prog);
         Interpreter interp(prog, &profile);
         const auto ires = interp.run();

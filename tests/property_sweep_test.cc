@@ -14,13 +14,17 @@
 #include "hw/timing.hh"
 #include "ir/evaluator.hh"
 #include "programs.hh"
-#include "random_program.hh"
+#include "testing/random_program.hh"
 #include "vm/interpreter.hh"
 
 namespace {
 
 using namespace aregion;
 using namespace aregion::test;
+using aregion::testing::kLegacyObjects;
+using aregion::testing::kLegacyScalar;
+using aregion::testing::RandomProgramGen;
+using aregion::testing::renderProgram;
 namespace core = aregion::core;
 namespace hw = aregion::hw;
 
@@ -45,8 +49,8 @@ class SeedSweep : public ::testing::TestWithParam<uint64_t>
 
 TEST_P(SeedSweep, MachineMatchesInterpreter)
 {
-    RandomProgramGen gen(GetParam());
-    const Program prog = gen.generate();
+    RandomProgramGen gen(GetParam(), kLegacyScalar);
+    const Program prog = renderProgram(gen.generate());
     Interpreter check(prog);
     ASSERT_TRUE(check.run().completed);
 
@@ -77,9 +81,8 @@ class OoSeedSweep : public ::testing::TestWithParam<uint64_t>
 
 TEST_P(OoSeedSweep, MachineMatchesInterpreter)
 {
-    RandomProgramGen gen(GetParam());
-    gen.withObjects = true;
-    const Program prog = gen.generate();
+    RandomProgramGen gen(GetParam(), kLegacyObjects);
+    const Program prog = renderProgram(gen.generate());
     Interpreter check(prog);
     ASSERT_TRUE(check.run().completed);
 
@@ -184,8 +187,8 @@ class TimingSweep : public ::testing::TestWithParam<int>
 
 TEST_P(TimingSweep, TimingNeverChangesResults)
 {
-    RandomProgramGen gen(777);
-    const Program prog = gen.generate();
+    RandomProgramGen gen(777, kLegacyScalar);
+    const Program prog = renderProgram(gen.generate());
     Interpreter check(prog);
     ASSERT_TRUE(check.run().completed);
 

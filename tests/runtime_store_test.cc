@@ -2,11 +2,13 @@
  * @file
  * The experiment store behind runtime::runExperiment (jit.cc): a hit
  * reproduces its cold run field by field, an entry outlives the
- * program it was compiled from, configurations that differ in one
- * field never share an entry, requests made once are never admitted,
- * and one shared entry gives identical results on every grid worker.
- * Also checks the code-size estimate the store's byte budget counts
- * in against the heap a compile actually keeps.
+ * program it was compiled from, requests that differ in the
+ * bytecode, the profile or one configuration field never share an
+ * entry, requests made once are never admitted, and one shared entry
+ * gives identical results on every grid worker. Also checks the
+ * compile memo on its own: its content address, its LRU under the
+ * byte budget, and the code-size estimate that budget counts in
+ * against the heap a compile actually keeps.
  *
  * Hits are observed through the jit.store.* counters, as deltas, so
  * the tests hold in any order within one process. Each test uses
@@ -216,19 +218,39 @@ TEST(StoreTest, EntryOutlivesTheProgramItWasCompiledFrom)
     expectSameMetrics(cold, warm);
 }
 
-/** Each field below changes the content address, so a configuration
- *  differing from an admitted one only in that field misses. */
+vm::Profile
+profileOf(const vm::Program &prog)
+{
+    vm::Profile profile(prog);
+    vm::Interpreter(prog, &profile).run();
+    return profile;
+}
+
+/** Each input below changes the content address — the bytecode, the
+ *  profile, or one configuration field — so a request differing from
+ *  an admitted one only in that input misses. */
 TEST(StoreTest, ConfigsDifferingInOneFieldNeverShareAnEntry)
 {
     const vm::Program prog = test::addElementProgram(900, 64);
+    // The same methods with another insert count: other bytecode, and
+    // as the profile program, another profile.
+    const vm::Program other = test::addElementProgram(1100, 64);
     const rt::ExperimentConfig base =
         experiment(core::CompilerConfig::atomicAggressiveInline());
 
-    std::vector<std::pair<std::string, rt::ExperimentConfig>> variants;
+    struct Variant
+    {
+        std::string what;
+        const vm::Program *profileProg;
+        const vm::Program *measureProg;
+        rt::ExperimentConfig config;
+    };
+    std::vector<Variant> variants{{"bytecode", &prog, &other, base},
+                                  {"profile", &other, &prog, base}};
     auto vary = [&](const std::string &what, auto &&edit) {
         rt::ExperimentConfig config = base;
         edit(config.compiler);
-        variants.emplace_back(what, std::move(config));
+        variants.push_back({what, &prog, &prog, std::move(config)});
     };
     vary("warmOverrides", [&](core::CompilerConfig &cc) {
         cc.region.warmOverrides.insert({prog.mainMethod, 0});
@@ -244,9 +266,8 @@ TEST(StoreTest, ConfigsDifferingInOneFieldNeverShareAnEntry)
         cc.elideSafepointsInRegions = !cc.elideSafepointsInRegions;
     });
 
-    vm::Profile profile(prog);
-    vm::Interpreter(prog, &profile).run();
-    const uint64_t base_key = svc::cacheKey(prog, profile, base.compiler);
+    const uint64_t base_key =
+        svc::cacheKey(prog, profileOf(prog), base.compiler);
 
     rt::runExperiment(prog, prog, base);
     rt::runExperiment(prog, prog, base);
@@ -254,11 +275,14 @@ TEST(StoreTest, ConfigsDifferingInOneFieldNeverShareAnEntry)
     rt::runExperiment(prog, prog, base);
     ASSERT_EQ(hitsSince(before).compile, 1u) << "the base entry is held";
 
-    for (const auto &[what, config] : variants) {
-        SCOPED_TRACE(what);
-        EXPECT_NE(svc::cacheKey(prog, profile, config.compiler), base_key);
+    for (const Variant &v : variants) {
+        SCOPED_TRACE(v.what);
+        EXPECT_NE(svc::cacheKey(*v.measureProg, profileOf(*v.profileProg),
+                                v.config.compiler),
+                  base_key);
         before = hits();
-        const rt::RunMetrics m = rt::runExperiment(prog, prog, config);
+        const rt::RunMetrics m =
+            rt::runExperiment(*v.profileProg, *v.measureProg, v.config);
         EXPECT_TRUE(m.completed);
         EXPECT_EQ(hitsSince(before).compile, 0u);
     }
@@ -309,6 +333,67 @@ TEST(StoreTest, SharedEntriesGiveIdenticalResultsOnGridWorkers)
         SCOPED_TRACE("run " + std::to_string(i));
         expectSameMetrics(runs.front(), runs[i]);
     }
+}
+
+/** The content address itself, outside the store: deterministic, and
+ *  changed by the bytecode, the profile and the compiler config. The
+ *  suite is named after the runtime::service namespace cacheKey lives
+ *  in. */
+TEST(ServiceTest, CacheKeyReflectsEveryInput)
+{
+    namespace gen = aregion::testing;
+    auto randomProgram = [](uint64_t seed) {
+        gen::RandomProgramGen generator(seed, gen::kLegacyScalar);
+        return gen::renderProgram(generator.generate());
+    };
+    const vm::Program a = randomProgram(1);
+    const vm::Program b = randomProgram(2);
+    const vm::Profile profile_a = profileOf(a);
+    const vm::Profile profile_b = profileOf(b);
+    const core::CompilerConfig atomic = core::CompilerConfig::atomic();
+
+    const uint64_t key_a = svc::cacheKey(a, profile_a, atomic);
+    EXPECT_EQ(key_a, svc::cacheKey(a, profile_a, atomic));
+    EXPECT_NE(key_a, svc::cacheKey(b, profile_b, atomic));
+    EXPECT_NE(key_a, svc::cacheKey(a, profile_a,
+                                   core::CompilerConfig::baseline()));
+    // Profiles drive region formation, so they are part of the key.
+    EXPECT_NE(key_a, svc::cacheKey(a, profile_b, atomic));
+}
+
+/** A cache entry with no code, only a key and a size. */
+std::shared_ptr<const svc::CachedCode>
+fakeEntry(uint64_t key, size_t bytes)
+{
+    auto code = std::make_shared<svc::CachedCode>();
+    code->key = key;
+    code->sizeBytes = bytes;
+    return code;
+}
+
+TEST(StoreTest, CacheEvictsLruUnderByteBudget)
+{
+    svc::CodeCache cache(1000);
+    cache.insert(fakeEntry(1, 400));
+    cache.insert(fakeEntry(2, 400));
+    // Touch 1 so 2 becomes the LRU victim of the next insert.
+    EXPECT_NE(cache.lookup(1), nullptr);
+    cache.insert(fakeEntry(3, 400));
+    EXPECT_EQ(cache.lookup(2), nullptr);
+    EXPECT_NE(cache.lookup(1), nullptr);
+    EXPECT_NE(cache.lookup(3), nullptr);
+}
+
+/** An entry larger than the whole budget still serves its requesters;
+ *  only the next insert displaces it. */
+TEST(StoreTest, CacheKeepsOversizedNewestEntry)
+{
+    svc::CodeCache cache(100);
+    cache.insert(fakeEntry(1, 400));
+    EXPECT_NE(cache.lookup(1), nullptr);
+    cache.insert(fakeEntry(2, 400));
+    EXPECT_EQ(cache.lookup(1), nullptr);
+    EXPECT_NE(cache.lookup(2), nullptr);
 }
 
 size_t

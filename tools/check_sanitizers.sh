@@ -70,23 +70,21 @@ fi
 # its own preset/build dir. The filter selects the contention
 # torture suite (grid cells run on parallel::runGrid host workers at
 # 2/4/8 hardware contexts, hammering the process-global failpoint
-# and telemetry registries), the compile-service suite (persistent
-# worker threads racing submit/coalesce/stop against the shared code
-# cache and admission controller), the differential fuzz smoke, and
-# the bisimulation-oracle / leakage-observer suites (the bisim
-# replayer reads the shared heap while other contexts' state sits in
-# the same Machine) — the paths where host-thread races can live.
-# The Ir|Opt leg rides along: compiles run concurrently on service
-# worker threads and grid cells, so the SSA passes' shared telemetry
-# writes belong under TSan too. So does the experiment-store suite
-# (StoreTest.*): grid workers look up, insert and share the store's
-# profiles and compiled code behind runExperiment.
+# and telemetry registries), the differential fuzz smoke, and the
+# bisimulation-oracle / leakage-observer suites (the bisim replayer
+# reads the shared heap while other contexts' state sits in the same
+# Machine) — the paths where host-thread races can live. The Ir|Opt
+# leg rides along: compiles run concurrently on grid cells, so the
+# SSA passes' shared telemetry writes belong under TSan too. So does
+# the experiment-store suite (StoreTest.*): grid workers look up,
+# insert and share the store's profiles and compiled code behind
+# runExperiment.
 cmake --preset tsan -S "$root"
 cmake --build "$build_tsan" -j "$(nproc 2>/dev/null || echo 4)"
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$build_tsan" --output-on-failure \
           -j "$(nproc 2>/dev/null || echo 4)" \
-          -R 'Contention|Service|Store|fuzz-smoke|Bisim|Leak|Ir|Opt'
+          -R 'Contention|Store|fuzz-smoke|Bisim|Leak|Ir|Opt'
 
-echo "check_sanitizers: contention + service + store + ir/opt + bisim/leak suites + fuzz smoke clean under TSan"
+echo "check_sanitizers: contention + store + ir/opt + bisim/leak suites + fuzz smoke clean under TSan"

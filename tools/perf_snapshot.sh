@@ -7,8 +7,7 @@
 #   tools/perf_snapshot.sh [binary] [out.json]   # explicit pair
 #   tools/perf_snapshot.sh --simulator           # BENCH_simulator.json
 #   tools/perf_snapshot.sh --contention          # BENCH_contention.json
-#   tools/perf_snapshot.sh --service             # BENCH_service.json
-#   tools/perf_snapshot.sh --all                 # all of the above
+#   tools/perf_snapshot.sh --all                 # both of the above
 #   tools/perf_snapshot.sh --check-compile-telemetry [snapshot.json]
 #       Validate compile-time telemetry in an existing snapshot
 #       (default BENCH_simulator.json): fails when an aggregate
@@ -19,8 +18,8 @@
 #
 # No arguments defaults to --simulator (the historical behaviour).
 # Each mode assumes the standard build directory layout; the cmake
-# targets bench-perf / bench-contention / bench-service call the
-# explicit form with the freshly built binary.
+# targets bench-perf / bench-contention call the explicit form with
+# the freshly built binary.
 set -eu
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -104,17 +103,11 @@ case "${1:-}" in
     snapshot "$root/build/bench/bench_contention" \
         "$root/BENCH_contention.json"
     ;;
---service)
-    snapshot "$root/build/bench/bench_service" \
-        "$root/BENCH_service.json"
-    ;;
 --all)
     snapshot "$root/build/bench/simulator_throughput" \
         "$root/BENCH_simulator.json"
     snapshot "$root/build/bench/bench_contention" \
         "$root/BENCH_contention.json"
-    snapshot "$root/build/bench/bench_service" \
-        "$root/BENCH_service.json"
     ;;
 --*)
     echo "perf_snapshot: unknown mode $1" >&2

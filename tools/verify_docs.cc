@@ -4,19 +4,16 @@
  *
  * Usage: verify_docs <path/to/docs>
  *
- * Three checks, all of which must pass:
+ * Two checks, both of which must pass:
  *
  *  1. docs/TELEMETRY.md contains every key in
  *     telemetry::keys::catalog() verbatim (the reference page covers
  *     the whole catalog).
- *  2. docs/SERVICE.md contains every `service.*` catalog key (the
- *     compile-service contract documents its own telemetry family in
- *     full).
- *  3. Reverse doc-rot: every dotted telemetry-key-shaped token in
+ *  2. Reverse doc-rot: every dotted telemetry-key-shaped token in
  *     code spans of any docs page whose first segment is a known
  *     telemetry family must exist in the catalog. A doc referencing
- *     `service.cache.hitz` (or a key that was since renamed) fails
- *     the build instead of silently rotting.
+ *     `jit.store.compile_hitz` (or a key that was since renamed or
+ *     removed) fails the build instead of silently rotting.
  *
  * This is one side of the enforcement triangle described in
  * telemetry_keys.hh — the other side (runtime keys ⊆ catalog) lives
@@ -41,7 +38,9 @@ namespace {
 
 /// Families whose dotted tokens in docs must resolve to catalog
 /// keys. Tokens under other prefixes (e.g. the dynamic `bench.*`
-/// gauges or plain file names) are ignored.
+/// gauges or plain file names) are ignored. `service` has no keys
+/// left; it stays listed so a page still citing one of the removed
+/// compile-service keys fails.
 const std::set<std::string> kFamilies = {
     "machine", "driver",  "timing", "jit",        "runtime",
     "region",  "profile", "fuzz",   "contention", "service",
@@ -156,7 +155,7 @@ dottedTokens(const std::string &text)
         if (i < n && text[i] == '(')
             continue; // method call, not a key
         if (i + 1 < n && text[i] == '.' && text[i + 1] == '*')
-            continue; // family wildcard like service.cache.*
+            continue; // family wildcard like jit.pass.*
         tokens.push_back(text.substr(start, i - start));
     }
     return tokens;
@@ -198,22 +197,7 @@ main(int argc, char **argv)
                              key);
     }
 
-    // Check 2: the service contract covers its own family in full.
-    if (!fs::exists(docs / "SERVICE.md")) {
-        errors.push_back(
-            "SERVICE.md: missing (the compile-service contract is an "
-            "enforced document)");
-    } else {
-        const std::string service = slurp(docs / "SERVICE.md");
-        for (const std::string &key : catalog) {
-            if (key.rfind("service.", 0) == 0 &&
-                service.find(key) == std::string::npos)
-                errors.push_back(
-                    "SERVICE.md: service.* key undocumented: " + key);
-        }
-    }
-
-    // Check 3: reverse doc-rot — dotted family tokens in any doc's
+    // Check 2: reverse doc-rot — dotted family tokens in any doc's
     // code spans must name real catalog keys (or failpoints).
     std::vector<fs::path> pages;
     for (const auto &entry : fs::directory_iterator(docs)) {
