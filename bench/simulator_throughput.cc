@@ -23,8 +23,8 @@ using namespace aregion::bench;
 namespace {
 
 /** Set in main() so the benchmark bodies can publish their measured
- *  rates into the --json export (tools/perf_snapshot.sh reads
- *  `bench.simulator_throughput.*` from BENCH_simulator.json). */
+ *  rates into the --json export (the `bench.simulator_throughput.*`
+ *  gauges of BENCH_simulator.json). */
 BenchReport *g_report = nullptr;
 
 void

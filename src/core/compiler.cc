@@ -54,7 +54,6 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
     // runtime driver: every entry point (experiment runner, bench
     // harnesses, tests) gets a jit.compile_us that covers the same
     // work the per-pass jit.pass.* timers break down.
-    telemetry::ScopedSpan span("jit.compile");
     telemetry::ScopedTimerUs total_timer(
         telemetry::Registry::global().counter(
             telemetry::keys::kJitCompileUs));

@@ -959,7 +959,6 @@ Machine::publishTelemetry()
 MachineResult
 Machine::run(uint64_t max_uops)
 {
-    telemetry::ScopedSpan span("machine.run");
     // Resolve failpoint handles once; with nothing armed the hooks
     // reduce to a single always-false branch on `injectOn`.
     auto &fps = failpoint::Registry::global();

@@ -120,7 +120,6 @@ void
 optimizeModule(ir::Module &mod, const OptContext &ctx)
 {
     PassTimers &t = PassTimers::get();
-    telemetry::ScopedSpan span("opt.module");
     // Inline/devirtualize to a fixpoint, cleaning between sweeps so
     // size estimates see optimized callees. Only the first sweep
     // cleans every function (translate output is raw); later sweeps

@@ -77,7 +77,6 @@ class ExperimentStore
         }
         auto fresh = std::make_shared<vm::Profile>(prog);
         {
-            telemetry::ScopedSpan span("jit.profile");
             telemetry::ScopedTimerUs timer(
                 registry.counter(keys::kJitProfileUs));
             vm::Interpreter interp(prog, fresh.get());
@@ -195,7 +194,6 @@ executeCompiled(const core::Compiled &compiled,
                 const ExperimentConfig &config,
                 const hw::HwConfig &hw_config)
 {
-    telemetry::ScopedSpan span("jit.machine");
     telemetry::ScopedTimerUs timer(
         telemetry::Registry::global().counter(
             telemetry::keys::kJitMachineUs));
@@ -230,7 +228,6 @@ runExperiment(const vm::Program &profile_prog,
     // exported schema is stable.
     registry.counter(keys::kJitStoreProfileHits);
     registry.counter(keys::kJitStoreCompileHits);
-    telemetry::ScopedSpan run_span("jit.run");
     ExperimentStore &store = ExperimentStore::global();
 
     // Stage 1: first-pass profiling (interpreter), unless the store
@@ -239,8 +236,7 @@ runExperiment(const vm::Program &profile_prog,
         store.profile(profile_prog);
 
     // Stage 2: optimizing compilation (compileProgram owns the
-    // jit.compile span and the kJitCompileUs counter), unless the
-    // store holds this compile.
+    // kJitCompileUs counter), unless the store holds this compile.
     std::shared_ptr<const core::Compiled> compiled =
         store.compile(measure_prog, *profile, config.compiler);
 
@@ -262,7 +258,6 @@ runExperiment(const vm::Program &profile_prog,
         // Abort-storm resilience: bounded recompilation rounds with
         // exponential backoff, falling back to blacklisting methods
         // whose regions cannot be repaired (docs/RESILIENCE.md).
-        telemetry::ScopedSpan span("jit.resilience");
         ResilienceTracker tracker(config.resilience);
         core::CompilerConfig updated = config.compiler;
         const int round_cap = tracker.roundCap();
@@ -294,7 +289,6 @@ runExperiment(const vm::Program &profile_prog,
         const auto overrides = config.controller.computeOverrides(
             compiled->mod, toTelemetry(run.result));
         if (!overrides.empty()) {
-            telemetry::ScopedSpan span("jit.adaptive");
             core::CompilerConfig updated = config.compiler;
             updated.region.warmOverrides = overrides;
             compiled = store.compile(measure_prog, *profile, updated);

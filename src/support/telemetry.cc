@@ -128,75 +128,6 @@ Registry::reset()
         v = 0.0;
     for (auto &[k, v] : hists)
         v = Histogram{};
-    ring.clear();
-    spanCount = 0;
-    openDepth = 0;
-    if (tracingOn)
-        traceEpochNs = steadyNowNs();
-}
-
-void
-Registry::enableTracing(size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    tracingOn = capacity > 0;
-    ringCapacity = capacity;
-    ring.clear();
-    spanCount = 0;
-    openDepth = 0;
-    traceEpochNs = steadyNowNs();
-}
-
-void
-Registry::disableTracing()
-{
-    tracingOn = false;
-}
-
-uint64_t
-Registry::nowUs() const
-{
-    return (steadyNowNs() - traceEpochNs) / 1000;
-}
-
-int
-Registry::beginSpan()
-{
-    return openDepth++;
-}
-
-void
-Registry::endSpan(const char *name, uint64_t begin_us, int depth)
-{
-    openDepth = depth;
-    SpanRecord rec{name, begin_us, nowUs(), depth};
-    if (ring.size() < ringCapacity) {
-        ring.push_back(std::move(rec));
-    } else if (ringCapacity > 0) {
-        ring[spanCount % ringCapacity] = std::move(rec);
-    }
-    ++spanCount;
-}
-
-std::vector<SpanRecord>
-Registry::spans() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return spansLocked();
-}
-
-std::vector<SpanRecord>
-Registry::spansLocked() const
-{
-    if (ring.size() < ringCapacity || ring.empty())
-        return ring;
-    // Ring wrapped: oldest entry is at spanCount % capacity.
-    std::vector<SpanRecord> out;
-    out.reserve(ring.size());
-    const size_t start = spanCount % ringCapacity;
-    for (size_t i = 0; i < ring.size(); ++i)
-        out.push_back(ring[(start + i) % ringCapacity]);
-    return out;
 }
 
 std::string
@@ -229,7 +160,6 @@ Registry::toJson(int indent) const
 {
     const std::string pad(static_cast<size_t>(indent), ' ');
     const std::string pad2 = pad + pad;
-    const std::string pad3 = pad2 + pad;
     std::ostringstream out;
     std::lock_guard<std::mutex> lock(mu);
 
@@ -268,18 +198,7 @@ Registry::toJson(int indent) const
         }
         first = false;
     }
-    out << (first ? "" : "\n" + pad) << "},\n";
-
-    out << pad << "\"spans\": [";
-    first = true;
-    for (const SpanRecord &s : spansLocked()) {
-        out << (first ? "\n" : ",\n") << pad2 << "{\"name\": "
-            << jsonQuote(s.name) << ", \"begin_us\": " << s.beginUs
-            << ", \"end_us\": " << s.endUs
-            << ", \"depth\": " << s.depth << "}";
-        first = false;
-    }
-    out << (first ? "" : "\n" + pad) << "]\n}";
+    out << (first ? "" : "\n" + pad) << "}\n}";
     return out.str();
 }
 

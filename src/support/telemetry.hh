@@ -1,11 +1,10 @@
 /**
  * @file
  * Process-wide telemetry: a named counter/gauge/histogram registry
- * plus a lightweight scoped trace-event API, with JSON and text-table
- * exporters.
+ * with JSON and text-table exporters.
  *
  * Keys are hierarchical dotted strings ("machine.abort.conflict",
- * "jit.pass.cse_us"); the full schema lives in docs/TELEMETRY.md and
+ * "jit.pass.gvn_us"); the full schema lives in docs/TELEMETRY.md and
  * is enforced against the catalog in telemetry_keys.hh by the
  * `verify_docs` test. Design constraints:
  *
@@ -13,23 +12,16 @@
  *    the reference returned by counter()/histogram() once (references
  *    are stable for the process lifetime; reset() zeroes values in
  *    place and never invalidates them).
- *  - Scoped tracing is zero-cost when disabled: the ScopedSpan
- *    constructor reads one flag and does nothing else (no clock
- *    access, no allocation).
  *  - The registry is deterministic: all containers iterate in sorted
  *    key order, so the JSON export is byte-stable across runs.
  *
  * Thread-safety (for the parallel experiment driver,
  * support/parallel.hh): counter slots are atomics, so cached
  * references can be incremented from concurrent experiment runs, and
- * every registry method takes an internal mutex. Two exceptions by
- * design:
- *
- *  - histogram() returns a plain Histogram reference; concurrent
- *    writers must accumulate into a local Histogram and publish it
- *    with merge() (what Machine::publishTelemetry does).
- *  - Scoped tracing is a single-threaded debugging aid; span nesting
- *    depth is not meaningful when several threads record spans.
+ * every registry method takes an internal mutex. One exception by
+ * design: histogram() returns a plain Histogram reference, so
+ * concurrent writers must accumulate into a local Histogram and
+ * publish it with merge() (what Machine::publishTelemetry does).
  */
 
 #ifndef AREGION_SUPPORT_TELEMETRY_HH
@@ -45,15 +37,6 @@
 #include "support/statistics.hh"
 
 namespace aregion::telemetry {
-
-/** One begin/end trace event recorded by ScopedSpan. */
-struct SpanRecord
-{
-    std::string name;
-    uint64_t beginUs = 0;   ///< microseconds since tracing enabled
-    uint64_t endUs = 0;
-    int depth = 0;          ///< nesting depth at begin
-};
 
 /**
  * The process-wide registry. Access through Registry::global();
@@ -96,30 +79,15 @@ class Registry
     /** All registered keys (counters, gauges, histograms), sorted. */
     std::vector<std::string> keys() const;
 
-    /** Zero every counter/gauge/histogram in place and drop recorded
-     *  spans. Cached references stay valid; keys stay registered. */
+    /** Zero every counter/gauge/histogram in place. Cached
+     *  references stay valid; keys stay registered. */
     void reset();
-
-    // --- Scoped tracing ------------------------------------------
-    /** Enable span recording into a ring buffer of `capacity`
-     *  events (oldest events are overwritten). */
-    void enableTracing(size_t capacity = 4096);
-    void disableTracing();
-    bool tracingEnabled() const { return tracingOn; }
-
-    /** Recorded spans, oldest first. Open spans (begin without end
-     *  yet) are not included. */
-    std::vector<SpanRecord> spans() const;
-
-    /** Total spans recorded since tracing was enabled (including
-     *  any that fell out of the ring). */
-    uint64_t spansRecorded() const { return spanCount; }
 
     // --- Export ---------------------------------------------------
     /**
      * JSON object with stable (sorted) key ordering:
      * {"counters": {...}, "gauges": {...}, "histograms": {key:
-     * {count, mean, min, max, p95}}, "spans": [...]}.
+     * {count, mean, min, max, p95}}}.
      */
     std::string toJson(int indent = 2) const;
 
@@ -127,63 +95,12 @@ class Registry
     std::string toTable() const;
 
   private:
-    friend class ScopedSpan;
-
-    /** Called by ScopedSpan only when tracing is on. */
-    int beginSpan();
-    void endSpan(const char *name, uint64_t begin_us, int depth);
-    uint64_t nowUs() const;
-    std::vector<SpanRecord> spansLocked() const;
-
     // std::map never moves nodes, so atomic values (non-movable) are
     // fine and cached counter references survive later insertions.
     mutable std::mutex mu;
     std::map<std::string, std::atomic<uint64_t>> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, Histogram> hists;
-
-    bool tracingOn = false;
-    size_t ringCapacity = 0;
-    uint64_t spanCount = 0;
-    int openDepth = 0;
-    std::vector<SpanRecord> ring;       ///< spanCount % cap ordering
-    uint64_t traceEpochNs = 0;          ///< steady_clock at enable
-};
-
-/**
- * RAII trace span. When tracing is disabled construction and
- * destruction read one flag each and do nothing else, so spans can
- * be left in release binaries. `name` must outlive the span (string
- * literals in practice).
- */
-class ScopedSpan
-{
-  public:
-    explicit ScopedSpan(const char *name_,
-                        Registry &reg_ = Registry::global())
-        : reg(reg_)
-    {
-        if (reg.tracingOn) {
-            name = name_;
-            depth = reg.beginSpan();
-            beginUs = reg.nowUs();
-        }
-    }
-
-    ~ScopedSpan()
-    {
-        if (name)
-            reg.endSpan(name, beginUs, depth);
-    }
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-  private:
-    Registry &reg;
-    const char *name = nullptr;
-    uint64_t beginUs = 0;
-    int depth = 0;
 };
 
 /**

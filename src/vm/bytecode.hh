@@ -61,7 +61,7 @@ enum class Bc : uint8_t {
 
     Safepoint,  ///< GC/yield poll (loop back edges)
     Print,      ///< append reg a to the observable output stream
-    Marker,     ///< sampling marker, id = imm (see runtime/sampling)
+    Marker,     ///< sampling marker, id = imm (see runtime::SampleSpec)
     Spawn,      ///< start a new thread running method imm(args...)
 };
 

@@ -110,8 +110,6 @@ Interpreter::invoke(ThreadCtx &thread, MethodId callee,
     thread.stack.push_back(std::move(frame));
     if (profile)
         profile->forMethod(callee).invocations++;
-    if (logInvocations)
-        invocationLog.push_back(callee);
 }
 
 void

@@ -24,7 +24,7 @@
 
 namespace aregion::vm {
 
-/** One sampling-marker crossing (see runtime/sampling). */
+/** One sampling-marker crossing (see runtime::SampleSpec). */
 struct MarkerEvent
 {
     int64_t markerId;
@@ -76,11 +76,6 @@ class Interpreter
 
     /** Scheduler quantum in instructions (deterministic interleave). */
     uint64_t quantum = 50;
-
-    /** When set, every method invocation is appended (in execution
-     *  order) for SimPoint-style phase classification. */
-    bool logInvocations = false;
-    std::vector<MethodId> invocationLog;
 
   private:
     struct Frame

@@ -184,6 +184,7 @@ TEST_F(ResilienceTest, PermanentStormIsBlacklistedAndCompletes)
     const uint64_t storms0 = counter(keys::kResilienceStorms);
     const uint64_t black0 = counter(keys::kResilienceBlacklisted);
     const uint64_t recomp0 = counter(keys::kResilienceRecompiles);
+    const uint64_t jit_recomp0 = counter(keys::kJitRecompiles);
     const uint64_t backoff0 = counter(keys::kResilienceBackoffs);
     const uint64_t trips0 = counter(keys::kMachineLivelockTrips);
 
@@ -202,6 +203,10 @@ TEST_F(ResilienceTest, PermanentStormIsBlacklistedAndCompletes)
     EXPECT_GT(counter(keys::kResilienceBackoffs), backoff0);
     EXPECT_GE(counter(keys::kResilienceBlacklisted), black0 + 1);
     EXPECT_GE(counter(keys::kResilienceRecompiles), recomp0 + 1);
+    // Every recompile the resilience loop spends is a jit.recompiles
+    // too: the two counters move together.
+    EXPECT_EQ(counter(keys::kJitRecompiles) - jit_recomp0,
+              counter(keys::kResilienceRecompiles) - recomp0);
 
     // The livelock guard (armed via livelockBound) tripped during
     // the storming runs, bounding wasted speculative work.

@@ -1,14 +1,12 @@
 /**
  * @file
- * Runtime pipeline and sampling tests.
+ * Runtime pipeline tests.
  */
 
 #include <gtest/gtest.h>
 
 #include "programs.hh"
 #include "runtime/jit.hh"
-#include "runtime/sampling.hh"
-#include "vm/interpreter.hh"
 
 namespace {
 
@@ -158,50 +156,6 @@ TEST(Jit, AdaptiveRecompileReducesAborts)
     EXPECT_LT(after.regionAborts, before.regionAborts / 4);
     EXPECT_LT(after.cycles, before.cycles);
     EXPECT_EQ(after.outputChecksum, before.outputChecksum);
-}
-
-TEST(Sampling, ClassifiesTwoPhaseTrace)
-{
-    // 30 intervals of method A-heavy, then 30 of method B-heavy.
-    std::vector<vm::MethodId> trace;
-    for (int i = 0; i < 30 * 100; ++i)
-        trace.push_back(i % 10 == 0 ? 2 : 0);
-    for (int i = 0; i < 30 * 100; ++i)
-        trace.push_back(i % 10 == 0 ? 3 : 1);
-    const auto phases = rt::classifyPhases(trace, 4, 100, 4);
-    EXPECT_GE(phases.numPhases, 2);
-    // The first and last intervals land in different phases.
-    EXPECT_NE(phases.intervalPhase.front(),
-              phases.intervalPhase.back());
-    // Weights sum to ~1.
-    double total = 0;
-    for (double w : phases.phaseWeight)
-        total += w;
-    EXPECT_NEAR(total, 1.0, 1e-9);
-    // Marker methods are the infrequent ones (2 and 3, not 0/1).
-    for (vm::MethodId m : phases.markerMethod)
-        EXPECT_TRUE(m == 2 || m == 3);
-}
-
-TEST(Sampling, SinglePhaseCollapses)
-{
-    std::vector<vm::MethodId> trace(5000, 1);
-    const auto phases = rt::classifyPhases(trace, 2, 500, 4);
-    EXPECT_EQ(phases.numPhases, 1);
-    EXPECT_NEAR(phases.phaseWeight[0], 1.0, 1e-9);
-}
-
-TEST(Sampling, InterpreterInvocationLogFeedsClassifier)
-{
-    const Program prog = fibProgram();
-    Profile profile(prog);
-    Interpreter interp(prog, &profile);
-    interp.logInvocations = true;
-    ASSERT_TRUE(interp.run().completed);
-    ASSERT_FALSE(interp.invocationLog.empty());
-    const auto phases = rt::classifyPhases(
-        interp.invocationLog, prog.numMethods(), 64, 4);
-    EXPECT_GE(phases.numPhases, 1);
 }
 
 } // namespace

@@ -1,16 +1,23 @@
 /**
  * @file
  * Telemetry registry tests: round-trip of counters/gauges/histograms,
- * byte-stable JSON export, zero-cost disabled tracing, agreement
- * between the machine-published `machine.abort.*` counters and
- * RegionRuntime::abortsByCause on a known aborting program, and the
- * runtime half of the docs enforcement triangle (registered keys ⊆
- * catalog ⊆ docs/TELEMETRY.md).
+ * byte-stable JSON export, agreement between the machine-published
+ * `machine.abort.*` counters and RegionRuntime::abortsByCause on a
+ * known aborting program, and the catalog checks that live outside
+ * the docs (registered keys ⊆ catalog; the committed BENCH_*.json
+ * snapshots carry exactly the catalog). The docs side is the
+ * `verify_docs` ctest.
  */
 
+#include <algorithm>
+#include <cctype>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +39,149 @@ namespace hw = aregion::hw;
 namespace rt = aregion::runtime;
 namespace telemetry = aregion::telemetry;
 namespace keys = aregion::telemetry::keys;
+namespace fs = std::filesystem;
+
+/** A parsed JSON value, just enough of the grammar for telemetry
+ *  exports: objects keep their members in file order. */
+struct Json
+{
+    std::string scalar;             ///< number/literal text, or string
+    std::vector<std::string> keys;  ///< object member names
+    std::vector<Json> values;       ///< object members or array items
+
+    const Json *
+    get(const std::string &key) const
+    {
+        const auto it = std::find(keys.begin(), keys.end(), key);
+        return it == keys.end() ? nullptr : &values[it - keys.begin()];
+    }
+};
+
+class JsonParser
+{
+  public:
+    explicit JsonParser(const std::string &text) : s(text) {}
+
+    Json
+    parseDocument()
+    {
+        Json v = value();
+        skipSpace();
+        if (pos != s.size())
+            fail("trailing text");
+        return v;
+    }
+
+  private:
+    Json
+    value()
+    {
+        skipSpace();
+        Json v;
+        if (pos >= s.size())
+            fail("unexpected end");
+        if (s[pos] == '{') {
+            members(v, '}');
+        } else if (s[pos] == '[') {
+            members(v, ']');
+        } else if (s[pos] == '"') {
+            v.scalar = string();
+        } else {
+            const size_t start = pos;
+            while (pos < s.size() && s[pos] != ',' && s[pos] != '}' &&
+                   s[pos] != ']' && !space())
+                ++pos;
+            v.scalar = s.substr(start, pos - start);
+            if (v.scalar.empty())
+                fail("empty value");
+        }
+        return v;
+    }
+
+    /** Object or array body after its opening bracket. */
+    void
+    members(Json &v, char close)
+    {
+        ++pos;
+        skipSpace();
+        if (pos < s.size() && s[pos] == close) {
+            ++pos;
+            return;
+        }
+        while (true) {
+            if (close == '}') {
+                skipSpace();
+                v.keys.push_back(string());
+                skipSpace();
+                expect(':');
+            }
+            v.values.push_back(value());
+            skipSpace();
+            if (pos >= s.size() || s[pos] != ',')
+                break;
+            ++pos;
+        }
+        expect(close);
+    }
+
+    std::string
+    string()
+    {
+        expect('"');
+        std::string out;
+        while (pos < s.size() && s[pos] != '"') {
+            if (s[pos] == '\\')
+                ++pos;  // keys and labels need no unescaping
+            if (pos < s.size())
+                out += s[pos++];
+        }
+        expect('"');
+        return out;
+    }
+
+    void
+    expect(char c)
+    {
+        if (pos >= s.size() || s[pos] != c)
+            fail(std::string("expected '") + c + "'");
+        ++pos;
+    }
+
+    void
+    skipSpace()
+    {
+        while (pos < s.size() && space())
+            ++pos;
+    }
+
+    bool
+    space() const
+    {
+        return std::isspace(static_cast<unsigned char>(s[pos])) != 0;
+    }
+
+    [[noreturn]] void
+    fail(const std::string &what) const
+    {
+        throw std::runtime_error("JSON parse error at byte " +
+                                 std::to_string(pos) + ": " + what);
+    }
+
+    const std::string &s;
+    size_t pos = 0;
+};
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+const std::vector<std::string> kTelemetrySections = {
+    "counters", "gauges", "histograms"};
 
 TEST(Registry, CounterGaugeHistogramRoundTrip)
 {
@@ -89,10 +239,11 @@ TEST(Registry, JsonExportIsByteStable)
     const std::string twice = reg.toJson();
     EXPECT_EQ(once, twice);
     EXPECT_LT(once.find("\"a.first\""), once.find("\"z.last\""));
-    EXPECT_NE(once.find("\"counters\""), std::string::npos);
-    EXPECT_NE(once.find("\"gauges\""), std::string::npos);
-    EXPECT_NE(once.find("\"histograms\""), std::string::npos);
-    EXPECT_NE(once.find("\"spans\""), std::string::npos);
+    // The export holds the three sections and nothing else.
+    const Json doc = JsonParser(once).parseDocument();
+    EXPECT_EQ(doc.keys, kTelemetrySections);
+    EXPECT_EQ(doc.get("counters")->keys,
+              (std::vector<std::string>{"a.first", "z.last"}));
 }
 
 TEST(Registry, EmptyHistogramExportsNullNotZero)
@@ -118,47 +269,6 @@ TEST(Registry, EmptyHistogramExportsNullNotZero)
 
     const std::string table = reg.toTable();
     EXPECT_NE(table.find("n=0 (empty)"), std::string::npos) << table;
-}
-
-TEST(Tracing, DisabledSpansAreNoOps)
-{
-    telemetry::Registry reg;
-    ASSERT_FALSE(reg.tracingEnabled());
-    {
-        telemetry::ScopedSpan outer("outer", reg);
-        telemetry::ScopedSpan inner("inner", reg);
-    }
-    EXPECT_EQ(reg.spansRecorded(), 0u);
-    EXPECT_TRUE(reg.spans().empty());
-}
-
-TEST(Tracing, EnabledSpansRecordNesting)
-{
-    telemetry::Registry reg;
-    reg.enableTracing(16);
-    {
-        telemetry::ScopedSpan outer("outer", reg);
-        { telemetry::ScopedSpan inner("inner", reg); }
-    }
-    reg.disableTracing();
-    const auto spans = reg.spans();
-    ASSERT_EQ(spans.size(), 2u);
-    // Spans close inner-first.
-    EXPECT_EQ(spans[0].name, "inner");
-    EXPECT_EQ(spans[0].depth, 1);
-    EXPECT_EQ(spans[1].name, "outer");
-    EXPECT_EQ(spans[1].depth, 0);
-    EXPECT_LE(spans[0].beginUs, spans[0].endUs);
-}
-
-TEST(Tracing, RingBufferKeepsNewestSpans)
-{
-    telemetry::Registry reg;
-    reg.enableTracing(4);
-    for (int i = 0; i < 10; ++i)
-        telemetry::ScopedSpan span("s", reg);
-    EXPECT_EQ(reg.spansRecorded(), 10u);
-    EXPECT_EQ(reg.spans().size(), 4u);
 }
 
 /** The machine-published abort counters must agree with the per-
@@ -251,10 +361,9 @@ TEST(CompileTelemetry, AggregateCoversPerPassTimers)
            "the per-pass timers it decomposes into";
 }
 
-/** Runtime half of the enforcement triangle: after a full pipeline
- *  run every registered key must be in the catalog, and the catalog
- *  must be documented (the docs half is also `ctest -R verify_docs`,
- *  which reports missing keys by name). */
+/** After a full pipeline run every registered key must be in the
+ *  catalog. That the catalog is documented is the `verify_docs`
+ *  ctest, which reports missing or extra TELEMETRY.md rows by name. */
 TEST(Catalog, RuntimeKeysAreCataloguedAndDocumented)
 {
     auto &reg = telemetry::Registry::global();
@@ -266,9 +375,9 @@ TEST(Catalog, RuntimeKeysAreCataloguedAndDocumented)
     const auto metrics = rt::runExperiment(prog, prog, config);
     ASSERT_TRUE(metrics.completed);
 
-    const auto catalog = keys::catalog();
-    const std::set<std::string> catalogued(catalog.begin(),
-                                           catalog.end());
+    std::set<std::string> catalogued;
+    for (const keys::KeyInfo &info : keys::kCatalog)
+        catalogued.insert(info.key);
     for (const std::string &key : reg.keys()) {
         EXPECT_TRUE(catalogued.count(key))
             << "runtime key not in telemetry_keys.hh catalog: "
@@ -278,16 +387,88 @@ TEST(Catalog, RuntimeKeysAreCataloguedAndDocumented)
     EXPECT_TRUE(reg.has(keys::kRegionFormed));
     EXPECT_TRUE(reg.has(keys::kJitPassGvnUs));
     EXPECT_TRUE(reg.has(keys::kTimingCycles));
+}
 
-    std::ifstream docs(AREGION_SOURCE_DIR "/docs/TELEMETRY.md");
-    ASSERT_TRUE(docs.good()) << "docs/TELEMETRY.md missing";
-    std::ostringstream buf;
-    buf << docs.rdbuf();
-    const std::string text = buf.str();
-    for (const std::string &key : catalog) {
-        EXPECT_NE(text.find(key), std::string::npos)
-            << "catalog key undocumented in docs/TELEMETRY.md: "
-            << key;
+/** Every committed BENCH_*.json snapshot must match the current
+ *  catalog: its telemetry keys (less the bench.* gauges each binary
+ *  adds) are exactly the catalog, each in its kind's section, with
+ *  no other telemetry field; and no compile/profile aggregate
+ *  contradicts its components (the jit.compile_us=0 next to
+ *  non-zero jit.pass.*_us shape, among others). Regenerate with
+ *  `tools/perf_snapshot.sh --all`. */
+TEST(Catalog, CommittedSnapshotsMatchCatalog)
+{
+    std::map<std::string, keys::KeyKind> kinds;
+    for (const keys::KeyInfo &info : keys::kCatalog)
+        kinds[info.key] = info.kind;
+    const std::map<std::string, keys::KeyKind> section_kind = {
+        {"counters", keys::KeyKind::Counter},
+        {"gauges", keys::KeyKind::Gauge},
+        {"histograms", keys::KeyKind::Hist},
+    };
+
+    std::vector<fs::path> snapshots;
+    for (const auto &entry : fs::directory_iterator(AREGION_SOURCE_DIR)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("BENCH_", 0) == 0 &&
+            entry.path().extension() == ".json")
+            snapshots.push_back(entry.path());
+    }
+    std::sort(snapshots.begin(), snapshots.end());
+    ASSERT_FALSE(snapshots.empty()) << "no BENCH_*.json at the root";
+
+    for (const fs::path &path : snapshots) {
+        SCOPED_TRACE(path.filename().string());
+        const Json doc = JsonParser(slurp(path)).parseDocument();
+        const Json *telemetry = doc.get("telemetry");
+        ASSERT_NE(telemetry, nullptr);
+        EXPECT_EQ(telemetry->keys, kTelemetrySections)
+            << "telemetry holds exactly counters, gauges, histograms";
+
+        std::set<std::string> present;
+        std::map<std::string, uint64_t> counters;
+        for (const auto &[section, kind] : section_kind) {
+            const Json *values = telemetry->get(section);
+            if (values == nullptr)
+                continue;
+            for (size_t i = 0; i < values->keys.size(); ++i) {
+                const std::string &key = values->keys[i];
+                if (section == "gauges" && key.rfind("bench.", 0) == 0)
+                    continue;
+                present.insert(key);
+                if (kind == keys::KeyKind::Counter)
+                    counters[key] = std::strtoull(
+                        values->values[i].scalar.c_str(), nullptr, 10);
+                const auto it = kinds.find(key);
+                if (it == kinds.end())
+                    ADD_FAILURE() << "key not in catalog: " << key;
+                else if (it->second != kind)
+                    ADD_FAILURE() << key << " sits in " << section;
+            }
+        }
+        for (const auto &[key, kind] : kinds) {
+            EXPECT_TRUE(present.count(key))
+                << "catalog key missing: " << key;
+        }
+
+        uint64_t pass_sum = 0;
+        size_t pass_nonzero = 0;
+        for (const auto &[key, value] : counters) {
+            if (key.rfind("jit.pass.", 0) == 0) {
+                pass_sum += value;
+                pass_nonzero += value > 0;
+            }
+        }
+        const uint64_t compile_us = counters[keys::kJitCompileUs];
+        EXPECT_FALSE(pass_nonzero > 0 && compile_us == 0)
+            << "jit.compile_us is 0 while " << pass_nonzero
+            << " jit.pass.* timers are non-zero";
+        EXPECT_GE(compile_us, pass_sum)
+            << "jit.compile_us below the sum of jit.pass.*_us";
+        EXPECT_FALSE(counters[keys::kProfileBytecodes] > 0 &&
+                     counters[keys::kProfileInvocations] == 0)
+            << "profile.invocations is 0 while profile.bytecodes is "
+               "non-zero";
     }
 }
 

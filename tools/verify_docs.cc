@@ -1,30 +1,33 @@
 /**
  * @file
- * Docs-coverage checker for the telemetry catalog.
+ * The docs-side check of the telemetry catalog.
  *
  * Usage: verify_docs <path/to/docs>
  *
- * Two checks, both of which must pass:
+ * Three checks, all of which must pass:
  *
- *  1. docs/TELEMETRY.md contains every key in
- *     telemetry::keys::catalog() verbatim (the reference page covers
- *     the whole catalog).
+ *  1. The key-table rows of docs/TELEMETRY.md (table rows whose
+ *     first cell is a backticked key) are exactly the catalog in
+ *     telemetry_keys.hh, one row per key, and each row's Kind letter
+ *     (C, G, H) is the catalog's kind for that key.
  *  2. Reverse doc-rot: every dotted telemetry-key-shaped token in
  *     code spans of any docs page whose first segment is a known
  *     telemetry family must exist in the catalog. A doc referencing
  *     `jit.store.compile_hitz` (or a key that was since renamed or
  *     removed) fails the build instead of silently rotting.
+ *  3. Every `keys::kName` token in code spans of any docs page names
+ *     a constant of the catalog table.
  *
- * This is one side of the enforcement triangle described in
- * telemetry_keys.hh — the other side (runtime keys ⊆ catalog) lives
- * in tests/support_telemetry_test.cc. Exit status 0 on full
- * coverage, 1 with a per-key report otherwise.
+ * The code-side checks (runtime keys ⊆ catalog, committed snapshots
+ * = catalog) live in tests/support_telemetry_test.cc. Exit status 0
+ * when every check passes, 1 with a per-key report otherwise.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -169,6 +172,54 @@ isFileName(const std::string &token)
            kFileExtensions.count(token.substr(dot + 1)) > 0;
 }
 
+/// Key -> Kind letter of every TELEMETRY.md key-table row: a row
+/// starting "| `key` | K |". Repeated rows are reported in `errors`.
+std::map<std::string, std::string>
+keyTableRows(const std::string &doc, std::vector<std::string> &errors)
+{
+    std::map<std::string, std::string> rows;
+    std::istringstream lines(doc);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("| `", 0) != 0)
+            continue;
+        const size_t key_end = line.find('`', 3);
+        const size_t cell_end = line.find('|', 1);
+        const size_t kind_end = line.find('|', cell_end + 1);
+        if (key_end == std::string::npos || kind_end == std::string::npos)
+            continue;
+        const std::string key = line.substr(3, key_end - 3);
+        std::string kind = line.substr(cell_end + 1,
+                                       kind_end - cell_end - 1);
+        kind.erase(0, kind.find_first_not_of(' '));
+        kind.erase(kind.find_last_not_of(' ') + 1);
+        if (!rows.emplace(key, kind).second)
+            errors.push_back("TELEMETRY.md: repeated key row: " + key);
+    }
+    return rows;
+}
+
+/// The `kName` of every `keys::kName` token in `text`.
+std::vector<std::string>
+constantTokens(const std::string &text)
+{
+    static const std::string prefix = "keys::";
+    std::vector<std::string> names;
+    for (size_t at = text.find(prefix + 'k'); at != std::string::npos;
+         at = text.find(prefix + 'k', at + 1)) {
+        const size_t start = at + prefix.size();
+        size_t end = start;
+        while (end < text.size() &&
+               (isIdent(text[end]) ||
+                (text[end] >= 'A' && text[end] <= 'Z')))
+            ++end;
+        if (end < text.size() && text[end] == '*')
+            continue; // wildcard like keys::kJit*
+        names.push_back(text.substr(start, end - start));
+    }
+    return names;
+}
+
 } // namespace
 
 int
@@ -185,17 +236,36 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto &catalog = aregion::telemetry::keys::catalog();
-    const std::set<std::string> known(catalog.begin(), catalog.end());
+    namespace keys = aregion::telemetry::keys;
+    std::set<std::string> known;
+    std::set<std::string> constants;
     std::vector<std::string> errors;
 
-    // Check 1: the telemetry reference covers the whole catalog.
-    const std::string telemetry = slurp(docs / "TELEMETRY.md");
-    for (const std::string &key : catalog) {
-        if (telemetry.find(key) == std::string::npos)
-            errors.push_back("TELEMETRY.md: catalog key undocumented: " +
-                             key);
+    // Check 1: TELEMETRY.md has one row per catalog key, with its
+    // kind, and no other key rows.
+    auto rows = keyTableRows(slurp(docs / "TELEMETRY.md"), errors);
+    for (const keys::KeyInfo &info : keys::kCatalog) {
+        known.insert(info.key);
+        constants.insert(info.constant);
+        const char *kind = info.kind == keys::KeyKind::Counter ? "C"
+                           : info.kind == keys::KeyKind::Gauge ? "G"
+                                                               : "H";
+        const auto row = rows.find(info.key);
+        if (row == rows.end()) {
+            errors.push_back(std::string("TELEMETRY.md: no row for "
+                                         "catalog key: ") +
+                             info.key);
+            continue;
+        }
+        if (row->second != kind)
+            errors.push_back("TELEMETRY.md: " + row->first +
+                             " has Kind " + row->second + ", catalog " +
+                             kind);
+        rows.erase(row);
     }
+    for (const auto &[key, kind] : rows)
+        errors.push_back("TELEMETRY.md: row for a key not in the "
+                         "catalog: " + key);
 
     // Check 2: reverse doc-rot — dotted family tokens in any doc's
     // code spans must name real catalog keys (or failpoints).
@@ -208,6 +278,14 @@ main(int argc, char **argv)
     size_t scanned_tokens = 0;
     for (const fs::path &page : pages) {
         const std::string code = codeSpans(slurp(page));
+        // Check 3: cited constants exist.
+        for (const std::string &name : constantTokens(code)) {
+            ++scanned_tokens;
+            if (constants.count(name) == 0)
+                errors.push_back(page.filename().string() +
+                                 ": references unknown constant: keys::" +
+                                 name);
+        }
         for (const std::string &token : dottedTokens(code)) {
             if (isFileName(token))
                 continue;
@@ -235,6 +313,6 @@ main(int argc, char **argv)
     }
     std::printf("verify_docs: %zu catalog keys documented, %zu doc "
                 "references checked, %zu pages scanned\n",
-                catalog.size(), scanned_tokens, pages.size());
+                known.size(), scanned_tokens, pages.size());
     return 0;
 }
