@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared harness for the table/figure benchmark binaries: runs a
- * workload under the paper's compiler configurations and computes
- * the derived metrics each table reports. Paper reference values
- * (eyeballed from the published figures) are carried alongside so
- * every binary prints measured-vs-paper columns.
+ * Shared harness for the bench binaries: the JSON export every binary
+ * writes, the experiment grid the paper's figures (figures.hh) read
+ * from, and the configurations and derived metrics their tables use.
  */
 
 #ifndef AREGION_BENCH_COMMON_HH
@@ -13,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -41,20 +38,18 @@ namespace wl = aregion::workloads;
  * Every binary accepts `--json <path>`: alongside the usual stdout
  * tables it then writes a machine-readable JSON file containing each
  * table it registered plus the full process telemetry snapshot
- * (docs/TELEMETRY.md), so `BENCH_*.json` trajectories can be
- * automated (see EXPERIMENTS.md).
+ * (docs/TELEMETRY.md).
  *
- * Fault-injection flags (docs/RESILIENCE.md): `--inject
- * <name:spec,...>` arms failpoints for the whole run (same grammar
- * as AREGION_FAILPOINTS) and `--seed <n>` fixes the injection PRNG
- * seed. When either is given, the JSON export records the canonical
- * armed set and the seed so injected runs are reproducible from
- * their report alone.
+ * Fault injection is armed through AREGION_FAILPOINTS and
+ * AREGION_FAILPOINT_SEED (docs/RESILIENCE.md). When failpoints are
+ * still armed at finish(), the export records the canonical armed
+ * set and the seed, so an injected run is reproducible from its
+ * report alone.
  *
  * Usage in a binary:
  *
  *   int main(int argc, char **argv) {
- *       bench::BenchReport report("fig7_speedup", argc, argv);
+ *       bench::BenchReport report("reproduce", argc, argv);
  *       ...
  *       std::printf("%s\n", table.render().c_str());
  *       report.addTable("fig7", table);
@@ -73,42 +68,14 @@ class BenchReport
         // zero-valued when the binary never exercised it.
         telemetry::keys::preregister(telemetry::Registry::global());
         int out = 1;
-        std::string inject_csv;
-        std::string seed_arg;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            if (arg == "--json" && i + 1 < argc) {
+            if (arg == "--json" && i + 1 < argc)
                 jsonPath = argv[++i];
-            } else if (arg == "--inject" && i + 1 < argc) {
-                inject_csv = argv[++i];
-            } else if (arg == "--seed" && i + 1 < argc) {
-                seed_arg = argv[++i];
-            } else {
+            else
                 argv[out++] = argv[i];
-            }
         }
         argc = out;
-        auto &fps = failpoint::Registry::global();
-        if (!seed_arg.empty()) {
-            char *end = nullptr;
-            const unsigned long long parsed =
-                std::strtoull(seed_arg.c_str(), &end, 10);
-            if (end == seed_arg.c_str() || *end != '\0') {
-                std::fprintf(stderr, "--seed: not a number: %s\n",
-                             seed_arg.c_str());
-                std::exit(2);
-            }
-            fps.setSeed(static_cast<uint64_t>(parsed));
-            injectRecorded = true;
-        }
-        if (!inject_csv.empty()) {
-            std::string err;
-            if (fps.configure(inject_csv, &err) < 0) {
-                std::fprintf(stderr, "--inject: %s\n", err.c_str());
-                std::exit(2);
-            }
-            injectRecorded = true;
-        }
     }
 
     /** Register a rendered table for the JSON export. */
@@ -152,8 +119,8 @@ class BenchReport
             << ", \"hardware_concurrency\": "
             << std::thread::hardware_concurrency()
             << ", \"contention_level\": " << contentionLevel << "}";
-        if (injectRecorded) {
-            auto &fps = failpoint::Registry::global();
+        auto &fps = failpoint::Registry::global();
+        if (fps.anyArmed()) {
             out << ",\n  \"inject\": "
                 << telemetry::jsonQuote(fps.describe())
                 << ",\n  \"inject_seed\": " << fps.seed();
@@ -174,9 +141,21 @@ class BenchReport
     std::string name;
     std::string jsonPath;
     int contentionLevel = 1;
-    bool injectRecorded = false;    ///< --inject/--seed was given
     std::vector<std::pair<std::string, aregion::TextTable>> tables;
 };
+
+/** For a binary whose flags are all consumed: any argument left in
+ *  argv (a misspelt flag, `--json` without a path) prints `usage`
+ *  and exits 2 before any work starts. */
+inline void
+rejectStrayArgs(int argc, char **argv, const char *usage)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr, "unexpected argument '%s'\nusage: %s\n",
+                 argv[1], usage);
+    std::exit(2);
+}
 
 /** The four Figure 7/8 compiler configurations plus the grey bar. */
 inline std::vector<core::CompilerConfig>
@@ -197,132 +176,102 @@ paperConfigs(bool include_grey = false)
     return configs;
 }
 
-/** Per-workload results across configurations. */
-struct WorkloadRuns
+/** Compiler `cc` on machine `timing`, everything else default. */
+inline rt::ExperimentConfig
+experiment(const core::CompilerConfig &cc,
+           const hw::TimingConfig &timing = hw::TimingConfig::baseline())
 {
-    std::string workload;
-    std::map<std::string, rt::RunMetrics> byConfig;
-};
-
-/** Profile/measure program pair built once per workload so a grid
- *  of experiment cells can share it read-only. */
-struct BuiltWorkload
-{
-    const wl::Workload *workload;
-    vm::Program profile;
-    vm::Program measure;
-};
-
-/** Build the program pairs for a suite, serially (cheap next to the
- *  experiments themselves, and keeps the build path deterministic). */
-inline std::vector<BuiltWorkload>
-buildPrograms(const std::vector<const wl::Workload *> &suite)
-{
-    std::vector<BuiltWorkload> built;
-    built.reserve(suite.size());
-    for (const wl::Workload *w : suite)
-        built.push_back({w, w->build(true), w->build(false)});
-    return built;
-}
-
-/** The full seven-benchmark suite as pointers for buildPrograms. */
-inline std::vector<const wl::Workload *>
-suitePointers()
-{
-    std::vector<const wl::Workload *> out;
-    for (const wl::Workload &w : wl::dacapoSuite())
-        out.push_back(&w);
-    return out;
-}
-
-/** Named subset of the suite, in the given order. */
-inline std::vector<const wl::Workload *>
-suitePointers(const std::vector<std::string> &names)
-{
-    std::vector<const wl::Workload *> out;
-    for (const std::string &name : names)
-        out.push_back(&wl::workloadByName(name));
-    return out;
-}
-
-/** One cell of an experiment grid: an index into the prebuilt
- *  program list plus the full configuration to run it under. */
-struct GridCell
-{
-    size_t workload;
     rt::ExperimentConfig config;
+    config.compiler = cc;
+    config.timing = timing;
+    return config;
+}
+
+/**
+ * The experiment grid the figures read from. Figures queue
+ * (program, ExperimentConfig) requests; run() executes each distinct
+ * pair once on parallel::runGrid, and `grid[i]` is request i's
+ * result. Two requests share a cell only when they name the same
+ * program and their configs compare equal field by field, so no
+ * figure can read another's numbers. Each cell writes its own slot:
+ * results never depend on AREGION_JOBS.
+ *
+ * A program is a workload: its profiling and measurement builds
+ * (built at run(), serially) and its sample windows.
+ */
+class Grid
+{
+  public:
+    /** Queue one experiment; returns its request index. */
+    size_t request(const wl::Workload &program, rt::ExperimentConfig config)
+    {
+        size_t cell = 0;
+        while (cell < cells.size() && !(cells[cell].program == &program &&
+                                        cells[cell].config == config))
+            ++cell;
+        if (cell == cells.size())
+            cells.push_back({&program, std::move(config), {}});
+        cellOf.push_back(cell);
+        return cellOf.size() - 1;
+    }
+
+    /** Run every cell (again, when called again). */
+    void run()
+    {
+        std::map<const wl::Workload *, std::pair<vm::Program, vm::Program>>
+            built;
+        for (const Cell &c : cells) {
+            if (!built.count(c.program))
+                built.try_emplace(c.program, c.program->build(true),
+                                  c.program->build(false));
+        }
+        parallel::runGrid(cells.size(), [&](size_t i) {
+            Cell &c = cells[i];
+            const auto &[profile, measure] = built.at(c.program);
+            c.result = rt::runExperiment(profile, measure, c.config,
+                                         c.program->samples);
+        });
+    }
+
+    const rt::RunMetrics &operator[](size_t request) const
+    {
+        return cells[cellOf[request]].result;
+    }
+
+    size_t requested() const { return cellOf.size(); }
+    size_t distinct() const { return cells.size(); }
+
+  private:
+    struct Cell
+    {
+        const wl::Workload *program;
+        rt::ExperimentConfig config;
+        rt::RunMetrics result;
+    };
+    std::vector<Cell> cells;
+    std::vector<size_t> cellOf;     ///< request index -> cell
 };
 
-/**
- * Run every cell of an experiment grid through the parallel driver
- * (support/parallel.hh). Each cell writes into its own preallocated
- * slot, so the returned vector is in cell order — tables assembled
- * from it are byte-identical no matter how many worker threads ran
- * the grid (AREGION_JOBS only changes wall-clock).
- */
-inline std::vector<rt::RunMetrics>
-runCellGrid(const std::vector<BuiltWorkload> &built,
-            const std::vector<GridCell> &cells)
+/** One figure's requests on a Grid, read back in request order once
+ *  the grid has run. */
+class Runs
 {
-    std::vector<rt::RunMetrics> slots(cells.size());
-    parallel::runGrid(cells.size(), [&](size_t i) {
-        const GridCell &cell = cells[i];
-        const BuiltWorkload &b = built[cell.workload];
-        slots[i] = rt::runExperiment(b.profile, b.measure,
-                                     cell.config,
-                                     b.workload->samples);
-    });
-    return slots;
-}
+  public:
+    explicit Runs(Grid &grid) : grid(&grid) {}
 
-/**
- * Run every workload of a suite under its configurations: fans
- * workload × configuration cells across the driver, then assembles
- * per-workload results in suite order. `configsFor` lets individual
- * workloads add configurations (Figure 7's grey bar).
- */
-inline std::vector<WorkloadRuns>
-runSuiteGrid(const std::vector<BuiltWorkload> &built,
-             const std::function<std::vector<core::CompilerConfig>(
-                 const wl::Workload &)> &configsFor,
-             const hw::TimingConfig &timing = hw::TimingConfig::baseline(),
-             const hw::HwConfig &hwc = {})
-{
-    std::vector<GridCell> cells;
-    std::vector<std::vector<std::string>> names(built.size());
-    for (size_t wi = 0; wi < built.size(); ++wi) {
-        for (const core::CompilerConfig &cc :
-             configsFor(*built[wi].workload)) {
-            rt::ExperimentConfig config;
-            config.compiler = cc;
-            config.timing = timing;
-            config.hw = hwc;
-            names[wi].push_back(cc.name);
-            cells.push_back({wi, std::move(config)});
-        }
+    void add(const wl::Workload &program, rt::ExperimentConfig config)
+    {
+        ids.push_back(grid->request(program, std::move(config)));
     }
-    std::vector<rt::RunMetrics> slots = runCellGrid(built, cells);
-    std::vector<WorkloadRuns> out(built.size());
-    size_t i = 0;
-    for (size_t wi = 0; wi < built.size(); ++wi) {
-        out[wi].workload = built[wi].workload->name;
-        for (const std::string &name : names[wi])
-            out[wi].byConfig.emplace(name, std::move(slots[i++]));
-    }
-    return out;
-}
 
-/** runSuiteGrid with the same configurations for every workload. */
-inline std::vector<WorkloadRuns>
-runSuiteGrid(const std::vector<BuiltWorkload> &built,
-             const std::vector<core::CompilerConfig> &configs,
-             const hw::TimingConfig &timing = hw::TimingConfig::baseline(),
-             const hw::HwConfig &hwc = {})
-{
-    return runSuiteGrid(
-        built, [&](const wl::Workload &) { return configs; }, timing,
-        hwc);
-}
+    /** The result of the next request. */
+    const rt::RunMetrics &next() { return (*grid)[ids.at(read++)]; }
+
+  private:
+    Grid *grid;
+    std::vector<size_t> ids;
+    size_t read = 0;
+};
 
 /** Percentage speedup of `other` over `base` (weighted cycles). */
 inline double
@@ -336,55 +285,6 @@ inline double
 uopReductionPct(const rt::RunMetrics &base, const rt::RunMetrics &other)
 {
     return (1.0 - other.weightedUops / base.weightedUops) * 100.0;
-}
-
-/** Paper Figure 7 speedups (percent, eyeballed from the figure). */
-inline const std::map<std::string, std::map<std::string, double>> &
-paperFigure7()
-{
-    static const std::map<std::string, std::map<std::string, double>>
-        data{
-            {"antlr", {{"atomic", 17}, {"no-atomic+aggr-inline", 5},
-                       {"atomic+aggr-inline", 22}}},
-            {"bloat", {{"atomic", 13}, {"no-atomic+aggr-inline", 10},
-                       {"atomic+aggr-inline", 32}}},
-            {"fop", {{"atomic", 2}, {"no-atomic+aggr-inline", 2},
-                     {"atomic+aggr-inline", 5}}},
-            {"hsqldb", {{"atomic", 25}, {"no-atomic+aggr-inline", 16},
-                        {"atomic+aggr-inline", 56}}},
-            {"jython", {{"atomic", -9}, {"no-atomic+aggr-inline", 14},
-                        {"atomic+aggr-inline", 35}}},
-            {"pmd", {{"atomic", -3}, {"no-atomic+aggr-inline", 1},
-                     {"atomic+aggr-inline", 2}}},
-            {"xalan", {{"atomic", 26}, {"no-atomic+aggr-inline", 5},
-                       {"atomic+aggr-inline", 25}}},
-        };
-    return data;
-}
-
-/** Paper Table 3 (atomic+aggressive-inline configuration). */
-struct PaperTable3Row
-{
-    double coveragePct;
-    int unique;
-    int size;
-    double abortPct;
-    double abortsPer1k;
-};
-
-inline const std::map<std::string, PaperTable3Row> &
-paperTable3()
-{
-    static const std::map<std::string, PaperTable3Row> data{
-        {"antlr", {9, 96, 47, 0.02, 0.0004}},
-        {"bloat", {69, 93, 128, 4.3, 0.12}},
-        {"fop", {20, 73, 32, 0.01, 0.0007}},
-        {"hsqldb", {76, 75, 88, 2.74, 0.24}},
-        {"jython", {87, 14, 227, 0.69, 0.27}},
-        {"pmd", {32, 32, 42, 2.2, 0.18}},
-        {"xalan", {78, 37, 78, 0.28, 0.03}},
-    };
-    return data;
 }
 
 } // namespace aregion::bench

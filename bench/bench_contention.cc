@@ -48,9 +48,8 @@ constexpr const char *kInjectSpec =
 int
 main(int argc, char **argv)
 {
-    // Strip this binary's own flags before BenchReport parses the
-    // remainder (it owns --json; its --inject/--seed grammar differs
-    // from ours, so they must never reach it).
+    // Strip this binary's own flags; BenchReport takes --json from
+    // the rest, and anything left after that is an error.
     std::string only_workload;
     int only_contexts = 0;
     uint64_t seed = 1;
@@ -72,6 +71,10 @@ main(int argc, char **argv)
     }
     argc = out;
     bench::BenchReport report("contention", argc, argv);
+    bench::rejectStrayArgs(argc, argv,
+                           "bench_contention [--workload <name>] "
+                           "[--contexts <n>] [--seed <n>] [--inject] "
+                           "[--json <path>]");
 
     std::vector<int> levels{2, 4, 8, 16, 32};
     if (only_contexts > 0)

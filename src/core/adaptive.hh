@@ -56,6 +56,8 @@ class AdaptiveController
     std::set<std::pair<int, int>>
     computeOverrides(const ir::Module &mod,
                      const AbortTelemetry &telemetry) const;
+
+    bool operator==(const AdaptiveController &) const = default;
 };
 
 } // namespace aregion::core

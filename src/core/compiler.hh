@@ -47,6 +47,8 @@ struct CompilerConfig
     static CompilerConfig atomic();
     static CompilerConfig baselineAggressiveInline();
     static CompilerConfig atomicAggressiveInline();
+
+    bool operator==(const CompilerConfig &) const = default;
 };
 
 /** Static compilation statistics. */

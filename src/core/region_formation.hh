@@ -67,6 +67,8 @@ struct RegionConfig
      *  formed for these ids (abort-storm resilience gave up on them;
      *  runtime/resilience.hh). */
     std::set<int> blacklistMethods;
+
+    bool operator==(const RegionConfig &) const = default;
 };
 
 /** Formation statistics for reporting and tests. */

@@ -105,6 +105,8 @@ struct HwConfig
      * retry-forever hardware).
      */
     uint64_t maxConsecutiveAborts = 0;
+
+    bool operator==(const HwConfig &) const = default;
 };
 
 /** Runtime statistics for one static region. */

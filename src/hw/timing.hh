@@ -93,6 +93,8 @@ struct TimingConfig
     static TimingConfig singleInflight();      ///< Figure 9 right
     static TimingConfig twoWide();             ///< Section 6.3
     static TimingConfig twoWideHalf();         ///< Section 6.3
+
+    bool operator==(const TimingConfig &) const = default;
 };
 
 /** The model; plug it into a Machine as the TraceSink. */

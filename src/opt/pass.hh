@@ -58,6 +58,8 @@ struct OptContext
     double unrollMinTrip = 4.0;
     /** Scalar pipeline fixpoint bound. */
     int maxScalarIters = 8;
+
+    bool operator==(const OptContext &) const = default;
 };
 
 /** CFG cleanup: thread trivial jumps, merge straight-line pairs,

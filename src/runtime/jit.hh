@@ -51,6 +51,10 @@ struct ExperimentConfig
      *  controller's overrides feed a bounded retry loop with
      *  backoff and method blacklisting. Off by default. */
     ResiliencePolicy resilience;
+
+    /** Field by field: the bench grid shares a cell between two
+     *  requests only when their configs compare equal. */
+    bool operator==(const ExperimentConfig &) const = default;
 };
 
 /** Metrics for one marker-delimited sample. */

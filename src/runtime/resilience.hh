@@ -63,6 +63,8 @@ struct ResiliencePolicy
      *  run under this policy, unless the experiment already set one.
      *  0 leaves the hardware config untouched. */
     uint64_t livelockBound = 64;
+
+    bool operator==(const ResiliencePolicy &) const = default;
 };
 
 /**

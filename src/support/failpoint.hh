@@ -31,8 +31,10 @@
  * `AREGION_FAILPOINTS=<name:spec>[,<name:spec>...]` is read the
  * first time the global registry is touched (the seed comes from
  * `AREGION_FAILPOINT_SEED` when set), or programmatically via
- * configure()/arm(). The bench harness maps `--inject`/`--seed`
- * onto the same calls. See docs/RESILIENCE.md for the full grammar.
+ * configure()/arm(). The bench binaries take no injection flags of
+ * their own: their JSON export records the armed set and seed
+ * whenever failpoints are armed. See docs/RESILIENCE.md for the full
+ * grammar.
  */
 
 #ifndef AREGION_SUPPORT_FAILPOINT_HH

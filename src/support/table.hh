@@ -2,9 +2,9 @@
  * @file
  * ASCII table formatting for the benchmark harnesses.
  *
- * Every bench binary regenerates a table or figure from the paper; the
- * TextTable class renders aligned rows so the output reads like the
- * published table ("paper" columns next to "measured" columns).
+ * bench/reproduce regenerates every table and figure of the paper;
+ * the TextTable class renders aligned rows so the output reads like
+ * the published table ("paper" columns next to "measured" columns).
  */
 
 #ifndef AREGION_SUPPORT_TABLE_HH

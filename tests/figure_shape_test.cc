@@ -25,9 +25,19 @@ namespace {
 using namespace aregion;
 using namespace aregion::bench;
 
+/** Figure 7's grid: every analog under the paper's configurations,
+ *  jython's grey bar included, with request ids by workload and
+ *  config name. */
 struct SuiteRuns
 {
-    std::map<std::string, WorkloadRuns> byWorkload;
+    Grid grid;
+    std::map<std::string, std::map<std::string, size_t>> ids;
+
+    const rt::RunMetrics &
+    at(const std::string &workload, const std::string &config) const
+    {
+        return grid[ids.at(workload).at(config)];
+    }
 };
 
 const SuiteRuns &
@@ -35,13 +45,12 @@ suiteRuns()
 {
     static const SuiteRuns runs = [] {
         SuiteRuns out;
-        for (WorkloadRuns &runs : runSuiteGrid(
-                 buildPrograms(suitePointers()),
-                 [](const wl::Workload &w) {
-                     return paperConfigs(w.name == "jython");
-                 })) {
-            out.byWorkload.emplace(runs.workload, std::move(runs));
+        for (const wl::Workload &w : wl::dacapoSuite()) {
+            for (const core::CompilerConfig &cc :
+                 paperConfigs(w.name == "jython"))
+                out.ids[w.name][cc.name] = out.grid.request(w, experiment(cc));
         }
+        out.grid.run();
         return out;
     }();
     return runs;
@@ -50,9 +59,8 @@ suiteRuns()
 double
 speedup(const std::string &workload, const std::string &config)
 {
-    const auto &runs = suiteRuns().byWorkload.at(workload);
-    return speedupPct(runs.byConfig.at("no-atomic"),
-                      runs.byConfig.at(config));
+    return speedupPct(suiteRuns().at(workload, "no-atomic"),
+                      suiteRuns().at(workload, config));
 }
 
 TEST(FigureShape, AtomicAggressiveWinsOnAverage)
@@ -85,47 +93,45 @@ TEST(FigureShape, UopReductionTracksFigure8)
 {
     std::vector<double> reductions;
     for (const auto &w : wl::dacapoSuite()) {
-        const auto &runs = suiteRuns().byWorkload.at(w.name);
-        reductions.push_back(uopReductionPct(
-            runs.byConfig.at("no-atomic"),
-            runs.byConfig.at("atomic+aggr-inline")));
+        reductions.push_back(
+            uopReductionPct(suiteRuns().at(w.name, "no-atomic"),
+                            suiteRuns().at(w.name, "atomic+aggr-inline")));
     }
     EXPECT_GT(mean(reductions), 3.0);
     // xalan and hsqldb individually shed a solid fraction.
-    const auto &x = suiteRuns().byWorkload.at("hsqldb");
-    EXPECT_GT(uopReductionPct(x.byConfig.at("no-atomic"),
-                              x.byConfig.at("atomic+aggr-inline")),
+    EXPECT_GT(uopReductionPct(suiteRuns().at("hsqldb", "no-atomic"),
+                              suiteRuns().at("hsqldb", "atomic+aggr-inline")),
               8.0);
 }
 
 TEST(FigureShape, DegradedPrimitivesEraseTheWin)
 {
-    // Figure 9 on the two biggest winners.
-    const std::vector<BuiltWorkload> built =
-        buildPrograms(suitePointers({"xalan", "hsqldb"}));
-    const std::vector<core::CompilerConfig> configs{
-        core::CompilerConfig::baseline(),
-        core::CompilerConfig::atomicAggressiveInline()};
-    const auto chk =
-        runSuiteGrid(built, configs, hw::TimingConfig::baseline());
-    const auto stall =
-        runSuiteGrid(built, configs, hw::TimingConfig::stallBegin());
-    for (size_t wi = 0; wi < built.size(); ++wi) {
-        const double s_chk = speedupPct(
-            chk[wi].byConfig.at("no-atomic"),
-            chk[wi].byConfig.at("atomic+aggr-inline"));
-        const double s_stall = speedupPct(
-            stall[wi].byConfig.at("no-atomic"),
-            stall[wi].byConfig.at("atomic+aggr-inline"));
-        EXPECT_LT(s_stall, s_chk / 2) << chk[wi].workload;
+    // Figure 9 on the two biggest winners: per workload, baseline
+    // and atomic+aggr-inline code on the checkpoint machine, then on
+    // the 20-cycle begin stall.
+    const std::vector<std::string> names{"xalan", "hsqldb"};
+    Grid grid;
+    for (const std::string &name : names) {
+        for (const hw::TimingConfig &machine :
+             {hw::TimingConfig::baseline(), hw::TimingConfig::stallBegin()}) {
+            for (const core::CompilerConfig &cc :
+                 {core::CompilerConfig::baseline(),
+                  core::CompilerConfig::atomicAggressiveInline()})
+                grid.request(wl::workloadByName(name), experiment(cc, machine));
+        }
+    }
+    grid.run();
+    for (size_t wi = 0; wi < names.size(); ++wi) {
+        const double s_chk = speedupPct(grid[4 * wi], grid[4 * wi + 1]);
+        const double s_stall = speedupPct(grid[4 * wi + 2], grid[4 * wi + 3]);
+        EXPECT_LT(s_stall, s_chk / 2) << names[wi];
     }
 }
 
 TEST(FigureShape, Table3CharacteristicsHold)
 {
     for (const auto &w : wl::dacapoSuite()) {
-        const auto &m = suiteRuns().byWorkload.at(w.name)
-                            .byConfig.at("atomic+aggr-inline");
+        const auto &m = suiteRuns().at(w.name, "atomic+aggr-inline");
         SCOPED_TRACE(w.name);
         EXPECT_GT(m.uniqueRegions, 0);
         EXPECT_GT(m.coverage, 0.0);
@@ -135,8 +141,7 @@ TEST(FigureShape, Table3CharacteristicsHold)
     }
     // Relative coverage ordering: jython/xalan/hsqldb high, antlr low.
     const auto cov = [&](const char *n) {
-        return suiteRuns().byWorkload.at(n)
-            .byConfig.at("atomic+aggr-inline").coverage;
+        return suiteRuns().at(n, "atomic+aggr-inline").coverage;
     };
     EXPECT_GT(cov("jython"), cov("antlr"));
     EXPECT_GT(cov("xalan"), cov("antlr"));
@@ -147,11 +152,10 @@ TEST(FigureShape, OutputsIdenticalAcrossAllConfigs)
 {
     for (const auto &w : wl::dacapoSuite()) {
         SCOPED_TRACE(w.name);
-        const auto &runs = suiteRuns().byWorkload.at(w.name);
         const uint64_t want =
-            runs.byConfig.at("no-atomic").outputChecksum;
-        for (const auto &[name, m] : runs.byConfig)
-            EXPECT_EQ(m.outputChecksum, want) << name;
+            suiteRuns().at(w.name, "no-atomic").outputChecksum;
+        for (const auto &[name, id] : suiteRuns().ids.at(w.name))
+            EXPECT_EQ(suiteRuns().grid[id].outputChecksum, want) << name;
     }
 }
 

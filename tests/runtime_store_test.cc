@@ -8,7 +8,9 @@
  * gives identical results on every grid worker. Also checks the
  * compile memo on its own: its content address, its LRU under the
  * byte budget, and the code-size estimate that budget counts in
- * against the heap a compile actually keeps.
+ * against the heap a compile actually keeps. One level up, the bench
+ * Grid shares a cell only between requests whose program and config
+ * are equal.
  *
  * Hits are observed through the jit.store.* counters, as deltas, so
  * the tests hold in any order within one process. Each test uses
@@ -22,7 +24,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bench_common.hh"
+#include "figures.hh"
 #include "programs.hh"
 #include "runtime/service/code_cache.hh"
 #include "testing/random_program.hh"
@@ -135,62 +137,92 @@ expectSameMetrics(const rt::RunMetrics &a, const rt::RunMetrics &b)
     expectSameMachine(a.machine, b.machine);
 }
 
-rt::ExperimentConfig
-experiment(const core::CompilerConfig &cc)
-{
-    rt::ExperimentConfig config;
-    config.compiler = cc;
-    return config;
-}
-
-size_t
-indexOf(const std::vector<BuiltWorkload> &built, const std::string &name)
-{
-    for (size_t i = 0; i < built.size(); ++i) {
-        if (built[i].workload->name == name)
-            return i;
-    }
-    ADD_FAILURE() << "no workload " << name;
-    return 0;
-}
-
 /** Every analog under the paper's four configurations, plus bloat's
  *  adaptive cell (which recompiles), run cold, then again (which
  *  admits every key), then warm: the warm pass is served entirely
  *  from the store and matches the cold pass exactly. */
 TEST(StoreTest, WarmRunsMatchColdRunsForEveryAnalog)
 {
-    const std::vector<BuiltWorkload> built = buildPrograms(suitePointers());
-    std::vector<GridCell> cells;
-    for (size_t wi = 0; wi < built.size(); ++wi) {
-        for (const core::CompilerConfig &cc : paperConfigs())
-            cells.push_back({wi, experiment(cc)});
+    Grid grid;
+    std::vector<std::string> labels;
+    for (const wl::Workload &w : wl::dacapoSuite()) {
+        for (const core::CompilerConfig &cc : paperConfigs()) {
+            grid.request(w, experiment(cc));
+            labels.push_back(w.name + " " + cc.name);
+        }
     }
     rt::ExperimentConfig adaptive =
         experiment(core::CompilerConfig::atomicAggressiveInline());
     adaptive.adaptiveRecompile = true;
-    cells.push_back({indexOf(built, "bloat"), adaptive});
+    grid.request(wl::workloadByName("bloat"), adaptive);
+    labels.push_back("bloat adaptive");
+    ASSERT_EQ(grid.distinct(), grid.requested());
 
     const Hits start = hits();
-    const std::vector<rt::RunMetrics> cold = runCellGrid(built, cells);
+    grid.run();
+    std::vector<rt::RunMetrics> cold;
+    for (size_t i = 0; i < grid.requested(); ++i)
+        cold.push_back(grid[i]);
     EXPECT_EQ(hitsSince(start).compile, 0u) << "the cold pass compiled";
     ASSERT_TRUE(cold.back().recompiled);
 
-    runCellGrid(built, cells);
+    grid.run();
     const Hits admitted = hits();
-    const std::vector<rt::RunMetrics> warm = runCellGrid(built, cells);
+    grid.run();
     const Hits warm_hits = hitsSince(admitted);
-    EXPECT_EQ(warm_hits.profile, cells.size());
-    EXPECT_EQ(warm_hits.compile, cells.size() + 1)
+    EXPECT_EQ(warm_hits.profile, grid.distinct());
+    EXPECT_EQ(warm_hits.compile, grid.distinct() + 1)
         << "every compile, the adaptive recompile included, hits";
 
-    for (size_t i = 0; i < cells.size(); ++i) {
-        SCOPED_TRACE(built[cells[i].workload].workload->name + " " +
-                     cells[i].config.compiler.name +
-                     (cells[i].config.adaptiveRecompile ? " adaptive"
-                                                        : ""));
-        expectSameMetrics(cold[i], warm[i]);
+    for (size_t i = 0; i < grid.requested(); ++i) {
+        SCOPED_TRACE(labels[i]);
+        expectSameMetrics(cold[i], grid[i]);
     }
+}
+
+/** The grid shares a cell between two requests only when the program
+ *  and every ExperimentConfig field are equal: a rule that ignored a
+ *  field would make one figure print another figure's numbers. */
+TEST(StoreTest, GridSharesCellsOnlyBetweenEqualRequests)
+{
+    const wl::Workload &xalan = wl::workloadByName("xalan");
+    const rt::ExperimentConfig base =
+        experiment(core::CompilerConfig::atomicAggressiveInline());
+    Grid grid;
+    grid.request(xalan, base);
+    grid.request(xalan, base);
+    EXPECT_EQ(grid.distinct(), 1u);
+
+    grid.request(wl::workloadByName("hsqldb"), base);
+    auto vary = [&](auto &&edit) {
+        rt::ExperimentConfig config = base;
+        edit(config);
+        grid.request(xalan, config);
+    };
+    vary([](rt::ExperimentConfig &c) {
+        c.timing = hw::TimingConfig::stallBegin();
+    });
+    // Same preset name, one field changed.
+    vary([](rt::ExperimentConfig &c) { c.timing.width = 2; });
+    vary([](rt::ExperimentConfig &c) { c.compiler.sle = false; });
+    vary([](rt::ExperimentConfig &c) {
+        c.compiler.region.targetSize = 100;
+    });
+    vary([](rt::ExperimentConfig &c) { c.hw.maxConsecutiveAborts = 64; });
+    vary([](rt::ExperimentConfig &c) { c.adaptiveRecompile = true; });
+    EXPECT_EQ(grid.requested(), 9u);
+    EXPECT_EQ(grid.distinct(), 8u);
+
+    // The paper's request list: 220 requests on the analogs need 114
+    // cells. Figures 3 and the postdom ablation make the rest, all on
+    // the addElement sample.
+    Grid paper;
+    planPaper(paper);
+    Grid sample;
+    fig3(sample);
+    ablationPostdom(sample);
+    EXPECT_EQ(paper.requested() - sample.requested(), 220u);
+    EXPECT_EQ(paper.distinct() - sample.distinct(), 114u);
 }
 
 /** The store compiles against its own copy of the program: the
@@ -316,18 +348,23 @@ TEST(StoreTest, RequestsMadeOnceAreNeverAdmitted)
     EXPECT_EQ(hitsSince(before).compile, 0u);
 }
 
-/** One cell 16 times on four grid workers: the workers share the
- *  store's entries read-only (TSan checks the sharing) and every
- *  result is identical. */
+/** One experiment 16 times on four parallel::runGrid workers (a Grid
+ *  would run it once): the workers share the store's entries
+ *  read-only (TSan checks the sharing) and every result is
+ *  identical. */
 TEST(StoreTest, SharedEntriesGiveIdenticalResultsOnGridWorkers)
 {
     ASSERT_EQ(setenv("AREGION_JOBS", "4", 1), 0);
-    const std::vector<BuiltWorkload> built =
-        buildPrograms(suitePointers({"hsqldb"}));
-    const std::vector<GridCell> cells(
-        16, GridCell{0, experiment(core::CompilerConfig::atomic())});
+    const wl::Workload &hsqldb = wl::workloadByName("hsqldb");
+    const vm::Program profile = hsqldb.build(true);
+    const vm::Program measure = hsqldb.build(false);
+    const rt::ExperimentConfig config =
+        experiment(core::CompilerConfig::atomic());
+    std::vector<rt::RunMetrics> runs(16);
     const Hits before = hits();
-    const std::vector<rt::RunMetrics> runs = runCellGrid(built, cells);
+    parallel::runGrid(runs.size(), [&](size_t i) {
+        runs[i] = rt::runExperiment(profile, measure, config, hsqldb.samples);
+    });
     EXPECT_GT(hitsSince(before).compile, 0u);
     for (size_t i = 1; i < runs.size(); ++i) {
         SCOPED_TRACE("run " + std::to_string(i));
