@@ -191,8 +191,7 @@ struct MachineRun
 MachineRun
 executeCompiled(const core::Compiled &compiled,
                 const vm::Program &measure_prog,
-                const ExperimentConfig &config,
-                const hw::HwConfig &hw_config)
+                const ExperimentConfig &config)
 {
     telemetry::ScopedTimerUs timer(
         telemetry::Registry::global().counter(
@@ -201,7 +200,7 @@ executeCompiled(const core::Compiled &compiled,
     const hw::MachineProgram mp = hw::lowerModule(
         compiled.mod, hw::LayoutInfo::fromHeap(layout_heap));
     hw::TimingModel timing(config.timing);
-    hw::Machine machine(mp, hw_config, &timing);
+    hw::Machine machine(mp, config.hw, &timing);
     MachineRun run;
     run.result = machine.run();
     timing.publishTelemetry();
@@ -240,63 +239,45 @@ runExperiment(const vm::Program &profile_prog,
     std::shared_ptr<const core::Compiled> compiled =
         store.compile(measure_prog, *profile, config.compiler);
 
-    // Stage 3: machine + timing execution. Resilience (when enabled)
-    // arms the machine's livelock guard for every run, including the
-    // first, unless the experiment already configured one.
-    hw::HwConfig hw_eff = config.hw;
-    if (config.resilience.enabled &&
-        config.resilience.livelockBound > 0 &&
-        hw_eff.maxConsecutiveAborts == 0) {
-        hw_eff.maxConsecutiveAborts = config.resilience.livelockBound;
-    }
-    MachineRun run =
-        executeCompiled(*compiled, measure_prog, config, hw_eff);
+    // Stage 3: machine + timing execution.
+    MachineRun run = executeCompiled(*compiled, measure_prog, config);
 
-    // Stage 4: adaptive recompilation on abort feedback.
+    // Stage 4: recompilation on abort feedback (Section 7). Each round
+    // keeps the controller's new override sites warm; under the
+    // resilience policy it also acts on storms, and a storm with no
+    // new site blacklists its methods (docs/RESILIENCE.md). Every
+    // recompiling round grows one of those two finite sets.
+    const ResiliencePolicy &policy = config.resilience;
+    const int rounds = policy.enabled ? policy.maxRecompiles
+                                      : (config.adaptiveRecompile ? 1 : 0);
+    core::CompilerConfig updated = config.compiler;
+    auto &warm = updated.region.warmOverrides;
+    auto &blacklist = updated.region.blacklistMethods;
     bool recompiled = false;
-    if (config.resilience.enabled && run.result.completed) {
-        // Abort-storm resilience: bounded recompilation rounds with
-        // exponential backoff, falling back to blacklisting methods
-        // whose regions cannot be repaired (docs/RESILIENCE.md).
-        ResilienceTracker tracker(config.resilience);
-        core::CompilerConfig updated = config.compiler;
-        const int round_cap = tracker.roundCap();
-        for (int round = 0; round < round_cap; ++round) {
-            const auto storms = tracker.stormingRegions(run.result);
+    for (int round = 0; round < rounds && run.result.completed; ++round) {
+        std::set<std::pair<int, int>> storms;
+        if (policy.enabled) {
+            storms = stormingRegions(run.result, policy, blacklist);
+            registry.add(keys::kResilienceStorms, storms.size());
+        }
+        if (!config.adaptiveRecompile && storms.empty())
+            break;
+        const auto sites = config.controller.computeOverrides(
+            compiled->mod, toTelemetry(run.result));
+        const size_t known = warm.size();
+        warm.insert(sites.begin(), sites.end());
+        if (warm.size() == known) {
             if (storms.empty())
                 break;
-            const auto computed = config.controller.computeOverrides(
-                compiled->mod, toTelemetry(run.result));
-            const size_t before = updated.region.warmOverrides.size();
-            updated.region.warmOverrides.insert(computed.begin(),
-                                                computed.end());
-            const bool new_overrides =
-                updated.region.warmOverrides.size() > before;
-            const auto decision =
-                tracker.decide(storms, new_overrides);
-            if (!decision.recompile)
-                continue;   // backing off this round
-            updated.region.blacklistMethods = tracker.blacklisted();
-            compiled = store.compile(measure_prog, *profile, updated);
-            run = executeCompiled(*compiled, measure_prog, config,
-                                  hw_eff);
-            recompiled = true;
-            tracker.noteRecompile();
-            registry.add(keys::kJitRecompiles, 1);
+            for (const auto &storm : storms) {
+                if (blacklist.insert(storm.first).second)
+                    registry.add(keys::kResilienceBlacklisted, 1);
+            }
         }
-        tracker.publishTelemetry();
-    } else if (config.adaptiveRecompile && run.result.completed) {
-        const auto overrides = config.controller.computeOverrides(
-            compiled->mod, toTelemetry(run.result));
-        if (!overrides.empty()) {
-            core::CompilerConfig updated = config.compiler;
-            updated.region.warmOverrides = overrides;
-            compiled = store.compile(measure_prog, *profile, updated);
-            run = executeCompiled(*compiled, measure_prog, config,
-                                  hw_eff);
-            recompiled = true;
-            registry.add(keys::kJitRecompiles, 1);
-        }
+        compiled = store.compile(measure_prog, *profile, updated);
+        run = executeCompiled(*compiled, measure_prog, config);
+        recompiled = true;
+        registry.add(keys::kJitRecompiles, 1);
     }
     // Register the recompile counter even when it stays zero so the
     // exported schema is stable.

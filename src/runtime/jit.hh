@@ -5,9 +5,11 @@
  *   1. first-pass profiling run in the interpreter,
  *   2. profile-driven optimizing compilation (baseline or atomic),
  *   3. machine execution with timing simulation of context 0,
- *   4. marker-delimited sample metrics, weighted per phase,
- *   5. optional adaptive recompilation when abort telemetry exceeds
- *      the controller's threshold (Section 7).
+ *   4. optional recompilation on abort feedback (Section 7): the
+ *      adaptive controller's warm overrides and, under a
+ *      ResiliencePolicy, blacklisting of storming methods; each
+ *      recompile re-runs stage 3,
+ *   5. marker-delimited sample metrics, weighted per phase.
  *
  * Profile and measurement inputs may differ (the profile variant of
  * a workload), reproducing profile-drift effects such as pmd's.
@@ -42,14 +44,17 @@ struct ExperimentConfig
     hw::TimingConfig timing;
 
     /** Re-compile with warm overrides when a region's abort rate
-     *  exceeds the adaptive controller's threshold, then re-run. */
+     *  exceeds the adaptive controller's threshold, then re-run:
+     *  once, or for up to resilience.maxRecompiles rounds when the
+     *  resilience policy is enabled. */
     bool adaptiveRecompile = false;
     core::AdaptiveController controller;
 
-    /** Abort-storm resilience (runtime/resilience.hh). When enabled
-     *  it subsumes the single-shot adaptive recompile above: the
-     *  controller's overrides feed a bounded retry loop with
-     *  backoff and method blacklisting. Off by default. */
+    /** Abort-storm resilience (runtime/resilience.hh). When enabled,
+     *  the recompilation loop spends up to maxRecompiles recompiles
+     *  and also acts on storming regions: with the controller's
+     *  overrides when it finds new sites, by blacklisting their
+     *  methods when it finds none. Off by default. */
     ResiliencePolicy resilience;
 
     /** Field by field: the bench grid shares a cell between two
@@ -94,7 +99,7 @@ struct RunMetrics
     uint64_t serializations = 0;
     uint64_t l1Misses = 0;
     uint64_t monitorFastEnters = 0;
-    bool recompiled = false;        ///< adaptive recompilation fired
+    bool recompiled = false;        ///< stage 4 recompiled
 
     uint64_t outputChecksum = 0;
     std::vector<SampleMetrics> samples;

@@ -8,11 +8,13 @@
 namespace aregion::runtime {
 
 std::set<std::pair<int, int>>
-ResilienceTracker::stormingRegions(const hw::MachineResult &res) const
+stormingRegions(const hw::MachineResult &res,
+                const ResiliencePolicy &policy,
+                const std::set<int> &blacklisted)
 {
     std::set<std::pair<int, int>> storms;
     for (const auto &[key, stats] : res.regions) {
-        if (blacklistSet.count(key.first))
+        if (blacklisted.count(key.first))
             continue;
         if (stats.entries < policy.minEntries)
             continue;
@@ -23,69 +25,6 @@ ResilienceTracker::stormingRegions(const hw::MachineResult &res) const
             storms.insert(key);
     }
     return storms;
-}
-
-ResilienceTracker::Decision
-ResilienceTracker::decide(const std::set<std::pair<int, int>> &storms,
-                          bool new_overrides)
-{
-    Decision decision;
-    stormCount += storms.size();
-    for (const auto &key : storms) {
-        RegionState &rs = state[key];
-        if (rs.cooldown > 0) {
-            // Backing off: this region already burnt an attempt
-            // recently; let the cooldown elapse before another.
-            rs.cooldown--;
-            backoffCount++;
-            continue;
-        }
-        if (rs.attempts >= policy.maxRecompiles) {
-            // Budget exhausted: give up on speculation for the whole
-            // method. A blacklist change always warrants a rebuild.
-            if (blacklistSet.insert(key.first).second)
-                decision.blacklistGrew = true;
-            continue;
-        }
-        rs.attempts++;
-        // Double the wait before the next attempt on this region:
-        // 2 rounds after the first, 4 after the second, ...
-        rs.cooldown = 1ull << rs.attempts;
-        if (new_overrides) {
-            // The adaptive controller found fresh override sites —
-            // recompiling has a real chance of curing the storm.
-            decision.recompile = true;
-        } else {
-            // Nothing new to try; the attempt still counts (it moves
-            // the region toward the blacklist) but rebuilding an
-            // identical module would be wasted work.
-            backoffCount++;
-        }
-    }
-    if (decision.blacklistGrew)
-        decision.recompile = true;
-    return decision;
-}
-
-int
-ResilienceTracker::roundCap() const
-{
-    // Full backoff schedule 2 + 4 + ... + 2^(maxRecompiles) plus one
-    // action round per attempt, the blacklist round, and slack. The
-    // shift is clamped so absurd budgets cannot overflow.
-    const int shift = std::min(policy.maxRecompiles + 1, 16);
-    return (1 << shift) + policy.maxRecompiles + 4;
-}
-
-void
-ResilienceTracker::publishTelemetry() const
-{
-    namespace keys = telemetry::keys;
-    auto &reg = telemetry::Registry::global();
-    reg.add(keys::kResilienceStorms, stormCount);
-    reg.add(keys::kResilienceRecompiles, recompileCount);
-    reg.add(keys::kResilienceBackoffs, backoffCount);
-    reg.add(keys::kResilienceBlacklisted, blacklistSet.size());
 }
 
 namespace {
@@ -116,8 +55,8 @@ uint64_t
 ContentionGovernor::onAbort(int ctx_id, hw::AbortCause cause)
 {
     // Only conflicts are contention; capacity/interrupt/explicit
-    // aborts have their own remediation (ResilienceTracker) and must
-    // not trip backoff.
+    // aborts have their own remediation (the recompilation loop's
+    // storm handling) and must not trip backoff.
     if (cause != hw::AbortCause::Conflict)
         return 0;
 

@@ -1,29 +1,26 @@
 /**
  * @file
- * Abort-storm resilience for the adaptive recompilation loop.
+ * Abort-storm detection for the recompilation loop, and the
+ * contention governor.
  *
  * The paper's Section 7 controller assumes profile drift: a cold
  * edge turned warm, the assert fires, and one recompile with warm
  * overrides repairs the region. Under fault injection (or a genuine
  * environment shift) a region can abort persistently with *no*
- * attributable assert site — the controller has nothing to override
- * and a naive retry loop recompiles forever. This layer bounds that
- * loop:
+ * attributable assert site, and the controller has nothing to
+ * override. Under a ResiliencePolicy, runExperiment's recompilation
+ * loop (runtime/jit.cc) also acts on such regions:
  *
- *   - storm detection: a region whose abort rate stays above
+ *   - storm detection: a region whose abort rate is at least
  *     ResiliencePolicy::stormAbortRate across at least minEntries
- *     entries is storming;
- *   - exponential backoff: each remediation attempt for a region
- *     doubles the cooldown (in controller rounds) before the next
- *     attempt may spend recompile budget;
- *   - blacklisting: after maxRecompiles failed attempts the region's
- *     method is compiled permanently non-speculative
- *     (RegionConfig::blacklistMethods) so the program keeps making
- *     progress;
- *   - livelock guard: livelockBound maps onto
- *     HwConfig::maxConsecutiveAborts so the machine itself stops
- *     re-entering a hopeless region between controller rounds.
+ *     entries is storming (stormingRegions);
+ *   - blacklisting: when the controller finds no new override site,
+ *     the storming regions' methods are compiled permanently
+ *     non-speculative (RegionConfig::blacklistMethods), so the
+ *     program keeps making progress;
+ *   - a budget: the loop spends at most maxRecompiles recompiles.
  *
+ * The machine's own livelock guard is HwConfig::maxConsecutiveAborts.
  * Everything is off by default (enabled = false): the benchmarks'
  * figures are byte-identical with the policy left alone. Telemetry
  * lands under `runtime.resilience.*` (docs/TELEMETRY.md).
@@ -33,7 +30,6 @@
 #define AREGION_RUNTIME_RESILIENCE_HH
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -55,84 +51,18 @@ struct ResiliencePolicy
     /** Regions with fewer entries carry too little evidence. */
     uint64_t minEntries = 16;
 
-    /** Remediation attempts per region before its method is
-     *  blacklisted (compiled without regions). */
+    /** Recompiles one experiment run may spend. */
     int maxRecompiles = 3;
-
-    /** Mapped onto HwConfig::maxConsecutiveAborts for every machine
-     *  run under this policy, unless the experiment already set one.
-     *  0 leaves the hardware config untouched. */
-    uint64_t livelockBound = 64;
 
     bool operator==(const ResiliencePolicy &) const = default;
 };
 
-/**
- * Per-experiment storm bookkeeping. The runtime drives it in rounds:
- * detect storms on the latest MachineResult, ask decide() whether
- * the evidence warrants spending a recompile, and report performed
- * recompiles back via noteRecompile().
- */
-class ResilienceTracker
-{
-  public:
-    explicit ResilienceTracker(const ResiliencePolicy &p)
-        : policy(p)
-    {}
-
-    /** Regions (methodId, regionId) currently storming, excluding
-     *  methods already blacklisted. */
-    std::set<std::pair<int, int>>
-    stormingRegions(const hw::MachineResult &res) const;
-
-    struct Decision
-    {
-        bool recompile = false;      ///< worth rebuilding the module
-        bool blacklistGrew = false;  ///< a method was just condemned
-    };
-
-    /**
-     * Advance one controller round. For each storming region:
-     * in-cooldown regions are skipped (a backoff); regions over the
-     * attempt budget condemn their method; otherwise the attempt
-     * counter advances and — when the adaptive controller produced
-     * new override sites — a recompile is requested. Attempts with
-     * nothing new to try still count (they double the cooldown), so
-     * an unfixable storm converges on the blacklist.
-     */
-    Decision decide(const std::set<std::pair<int, int>> &storms,
-                    bool new_overrides);
-
-    const std::set<int> &blacklisted() const { return blacklistSet; }
-
-    /** Upper bound on controller rounds: the full backoff schedule
-     *  plus one action per budgeted attempt, with slack. */
-    int roundCap() const;
-
-    /** Record one performed recompile + re-run. */
-    void noteRecompile() { recompileCount++; }
-
-    uint64_t stormObservations() const { return stormCount; }
-    uint64_t recompiles() const { return recompileCount; }
-    uint64_t backoffs() const { return backoffCount; }
-
-    /** Mirror the counters into `runtime.resilience.*`. */
-    void publishTelemetry() const;
-
-  private:
-    struct RegionState
-    {
-        int attempts = 0;
-        uint64_t cooldown = 0;      ///< rounds until next attempt
-    };
-
-    ResiliencePolicy policy;
-    std::map<std::pair<int, int>, RegionState> state;
-    std::set<int> blacklistSet;
-    uint64_t stormCount = 0;        ///< (round, region) observations
-    uint64_t recompileCount = 0;
-    uint64_t backoffCount = 0;
-};
+/** Regions (methodId, regionId) of @p res that storm under @p policy,
+ *  excluding those of the @p blacklisted methods. */
+std::set<std::pair<int, int>>
+stormingRegions(const hw::MachineResult &res,
+                const ResiliencePolicy &policy,
+                const std::set<int> &blacklisted);
 
 /** Knobs for the contention governor (all deterministic). */
 struct ContentionPolicy

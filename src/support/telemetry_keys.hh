@@ -124,8 +124,6 @@
     /* --- runtime.resilience.* (src/runtime/resilience.cc) ------------ */ \
     /* Abort-storm handling, then the contention governor. */               \
     X(kResilienceStorms, "runtime.resilience.storms", Counter)              \
-    X(kResilienceRecompiles, "runtime.resilience.recompiles", Counter)      \
-    X(kResilienceBackoffs, "runtime.resilience.backoffs", Counter)          \
     X(kResilienceBlacklisted, "runtime.resilience.blacklisted", Counter)    \
     X(kResilienceBackoffSteps, "runtime.resilience.backoff_steps", Counter) \
     X(kResilienceStarvationBoosts,                                          \

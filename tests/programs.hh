@@ -360,6 +360,52 @@ matrixProgram()
     return prog;
 }
 
+/**
+ * The drifting filter: a loop of @p iterations that takes a rare
+ * path on 1 in @p rare_every iterations and prints a checksum. A
+ * drift workload profiles it with a large rate (the path is cold)
+ * and measures it with a small one (the path turned warm).
+ */
+inline Program
+driftFilterProgram(int iterations, int rare_every)
+{
+    ProgramBuilder pb;
+    const MethodId mm = pb.declareMethod("main", 0);
+    auto mb = pb.define(mm);
+    const Reg i = mb.constant(0);
+    const Reg n = mb.constant(iterations);
+    const Reg one = mb.constant(1);
+    const Reg k = mb.constant(rare_every);
+    const Reg sum = mb.constant(0);
+    const Label loop = mb.newLabel();
+    const Label rare = mb.newLabel();
+    const Label next = mb.newLabel();
+    const Label done = mb.newLabel();
+    mb.bind(loop);
+    mb.branchCmp(Bc::CmpGe, i, n, done);
+    const Reg rem = mb.binop(Bc::Rem, i, k);
+    const Reg zero = mb.constant(0);
+    const Reg hit = mb.cmp(Bc::CmpEq, rem, zero);
+    mb.branchIf(hit, rare);
+    mb.binopTo(Bc::Add, sum, sum, i);
+    mb.jump(next);
+    mb.bind(rare);
+    mb.binopTo(Bc::Add, sum, sum, one);
+    mb.jump(next);
+    mb.bind(next);
+    mb.binopTo(Bc::Add, i, i, one);
+    mb.safepoint();
+    mb.jump(loop);
+    mb.bind(done);
+    mb.print(sum);
+    mb.retVoid();
+    mb.finish();
+    pb.setMain(mm);
+    Program prog = pb.build();
+    verifyOrDie(prog);
+    return prog;
+}
+
 /** All sample programs (single-threaded, deterministic). */
 inline std::vector<SampleProgram>
 allSamplePrograms()

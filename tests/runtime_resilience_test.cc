@@ -1,9 +1,9 @@
 /**
  * @file
  * Abort-storm resilience tests (runtime/resilience.hh): storm
- * detection, exponential backoff, method blacklisting, and the
- * end-to-end guarantee that a permanently-aborting region still
- * lets the program finish with correct output.
+ * detection, method blacklisting, the adaptive repair kept under the
+ * policy, and the end-to-end guarantee that a permanently-aborting
+ * region still lets the program finish with correct output.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
 #include "vm/interpreter.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -25,6 +26,7 @@ namespace core = aregion::core;
 namespace hw = aregion::hw;
 namespace fp = aregion::failpoint;
 namespace keys = aregion::telemetry::keys;
+namespace wl = aregion::workloads;
 
 uint64_t
 counter(const char *key)
@@ -40,7 +42,7 @@ class ResilienceTest : public ::testing::Test
 };
 
 // ---------------------------------------------------------------
-// Tracker unit tests (no machine involved).
+// Storm detection (no machine involved).
 // ---------------------------------------------------------------
 
 hw::MachineResult
@@ -60,78 +62,23 @@ TEST_F(ResilienceTest, TrackerDetectsOnlyRealStorms)
     rt::ResiliencePolicy policy;
     policy.stormAbortRate = 0.5;
     policy.minEntries = 16;
-    rt::ResilienceTracker tracker(policy);
+    const std::set<int> none;
 
     // Too few entries: not a storm regardless of rate.
-    EXPECT_TRUE(tracker
-                    .stormingRegions(resultWithRegion(1, 0, 8, 8))
+    EXPECT_TRUE(rt::stormingRegions(resultWithRegion(1, 0, 8, 8),
+                                    policy, none)
                     .empty());
     // Plenty of entries, low abort rate: healthy.
-    EXPECT_TRUE(tracker
-                    .stormingRegions(resultWithRegion(1, 0, 100, 10))
+    EXPECT_TRUE(rt::stormingRegions(resultWithRegion(1, 0, 100, 10),
+                                    policy, none)
                     .empty());
     // High rate with evidence: storming.
-    const auto storms =
-        tracker.stormingRegions(resultWithRegion(1, 0, 100, 80));
+    const auto storming = resultWithRegion(1, 0, 100, 80);
+    const auto storms = rt::stormingRegions(storming, policy, none);
     ASSERT_EQ(storms.size(), 1u);
     EXPECT_EQ(*storms.begin(), (std::pair<int, int>{1, 0}));
-}
-
-TEST_F(ResilienceTest, TrackerBacksOffThenBlacklists)
-{
-    rt::ResiliencePolicy policy;
-    policy.maxRecompiles = 2;
-    rt::ResilienceTracker tracker(policy);
-    const auto res = resultWithRegion(7, 0, 100, 100);
-
-    // Drive rounds with no fresh overrides (an unfixable storm):
-    // attempts burn through the budget under exponential cooldowns,
-    // then the method lands on the blacklist.
-    bool blacklisted = false;
-    int rounds = 0;
-    for (; rounds < tracker.roundCap(); ++rounds) {
-        const auto storms = tracker.stormingRegions(res);
-        if (storms.empty())
-            break;
-        const auto d = tracker.decide(storms, false);
-        if (d.blacklistGrew) {
-            blacklisted = true;
-            break;
-        }
-        EXPECT_FALSE(d.recompile)
-            << "no overrides -> no useful recompile";
-    }
-    EXPECT_TRUE(blacklisted);
-    EXPECT_EQ(tracker.blacklisted().count(7), 1u);
-    EXPECT_GT(tracker.backoffs(), 0u);
-    // Cooldowns 2 and 4 plus the action rounds: blacklist lands
-    // well within the cap but not immediately.
-    EXPECT_GE(rounds, policy.maxRecompiles);
-    EXPECT_LT(rounds, tracker.roundCap());
-    // Once blacklisted the region no longer reads as storming.
-    EXPECT_TRUE(tracker.stormingRegions(res).empty());
-}
-
-TEST_F(ResilienceTest, TrackerSpendsRecompilesWhenOverridesExist)
-{
-    rt::ResiliencePolicy policy;
-    policy.maxRecompiles = 3;
-    rt::ResilienceTracker tracker(policy);
-    const auto res = resultWithRegion(3, 1, 64, 60);
-
-    const auto d =
-        tracker.decide(tracker.stormingRegions(res), true);
-    EXPECT_TRUE(d.recompile);
-    EXPECT_FALSE(d.blacklistGrew);
-    EXPECT_TRUE(tracker.blacklisted().empty());
-
-    // Immediately after an attempt the region is cooling down: the
-    // next round must be a backoff, not another recompile.
-    const uint64_t backoffs_before = tracker.backoffs();
-    const auto d2 =
-        tracker.decide(tracker.stormingRegions(res), true);
-    EXPECT_FALSE(d2.recompile);
-    EXPECT_GT(tracker.backoffs(), backoffs_before);
+    // Once its method is blacklisted the region no longer storms.
+    EXPECT_TRUE(rt::stormingRegions(storming, policy, {1}).empty());
 }
 
 // ---------------------------------------------------------------
@@ -179,13 +126,11 @@ TEST_F(ResilienceTest, PermanentStormIsBlacklistedAndCompletes)
     storm.resilience.enabled = true;
     storm.resilience.maxRecompiles = 2;
     storm.resilience.minEntries = 8;
-    storm.resilience.livelockBound = 16;
+    storm.hw.maxConsecutiveAborts = 16;
 
     const uint64_t storms0 = counter(keys::kResilienceStorms);
     const uint64_t black0 = counter(keys::kResilienceBlacklisted);
-    const uint64_t recomp0 = counter(keys::kResilienceRecompiles);
-    const uint64_t jit_recomp0 = counter(keys::kJitRecompiles);
-    const uint64_t backoff0 = counter(keys::kResilienceBackoffs);
+    const uint64_t recomp0 = counter(keys::kJitRecompiles);
     const uint64_t trips0 = counter(keys::kMachineLivelockTrips);
 
     const auto metrics = rt::runExperiment(prog, prog, storm);
@@ -197,19 +142,15 @@ TEST_F(ResilienceTest, PermanentStormIsBlacklistedAndCompletes)
     EXPECT_EQ(metrics.outputChecksum, clean.outputChecksum);
     EXPECT_TRUE(metrics.recompiled);
 
-    // The storm was observed, backed off on, and resolved by
-    // blacklisting at least one method.
-    EXPECT_GT(counter(keys::kResilienceStorms), storms0);
-    EXPECT_GT(counter(keys::kResilienceBackoffs), backoff0);
+    // The storm was observed in the first round and resolved by one
+    // recompile that blacklists its method; the second round finds
+    // nothing storming.
+    EXPECT_EQ(counter(keys::kResilienceStorms) - storms0, 1u);
     EXPECT_GE(counter(keys::kResilienceBlacklisted), black0 + 1);
-    EXPECT_GE(counter(keys::kResilienceRecompiles), recomp0 + 1);
-    // Every recompile the resilience loop spends is a jit.recompiles
-    // too: the two counters move together.
-    EXPECT_EQ(counter(keys::kJitRecompiles) - jit_recomp0,
-              counter(keys::kResilienceRecompiles) - recomp0);
+    EXPECT_EQ(counter(keys::kJitRecompiles) - recomp0, 1u);
 
-    // The livelock guard (armed via livelockBound) tripped during
-    // the storming runs, bounding wasted speculative work.
+    // The livelock guard (HwConfig::maxConsecutiveAborts) tripped
+    // during the storming run, bounding wasted speculative work.
     EXPECT_GT(counter(keys::kMachineLivelockTrips), trips0);
 
     // The final, measured run no longer speculates in the
@@ -223,77 +164,8 @@ TEST_F(ResilienceTest, DriftStormIsCuredByOverridesNotBlacklist)
     // ~10% of the time. With a storm threshold below that abort
     // rate, resilience must repair the region through the adaptive
     // controller's warm overrides — not condemn the method.
-    ProgramBuilder pb;
-    const MethodId mm = pb.declareMethod("main", 0);
-    auto mb = pb.define(mm);
-    const Reg i = mb.constant(0);
-    const Reg n = mb.constant(8000);
-    const Reg one = mb.constant(1);
-    const Reg k = mb.constant(10);      // 10% "cold" path
-    const Reg sum = mb.constant(0);
-    const Label loop = mb.newLabel();
-    const Label rare = mb.newLabel();
-    const Label next = mb.newLabel();
-    const Label done = mb.newLabel();
-    mb.bind(loop);
-    mb.branchCmp(Bc::CmpGe, i, n, done);
-    const Reg rem = mb.binop(Bc::Rem, i, k);
-    const Reg zero = mb.constant(0);
-    const Reg hit = mb.cmp(Bc::CmpEq, rem, zero);
-    mb.branchIf(hit, rare);
-    mb.binopTo(Bc::Add, sum, sum, i);
-    mb.jump(next);
-    mb.bind(rare);
-    mb.binopTo(Bc::Add, sum, sum, one);
-    mb.jump(next);
-    mb.bind(next);
-    mb.binopTo(Bc::Add, i, i, one);
-    mb.safepoint();
-    mb.jump(loop);
-    mb.bind(done);
-    mb.print(sum);
-    mb.retVoid();
-    mb.finish();
-    pb.setMain(mm);
-    const Program measure = pb.build();
-    verifyOrDie(measure);
-
-    ProgramBuilder pb2;
-    const MethodId mm2 = pb2.declareMethod("main", 0);
-    auto m2 = pb2.define(mm2);
-    {
-        const Reg i2 = m2.constant(0);
-        const Reg n2 = m2.constant(8000);
-        const Reg one2 = m2.constant(1);
-        const Reg k2 = m2.constant(400);    // cold at profile time
-        const Reg sum2 = m2.constant(0);
-        const Label loop2 = m2.newLabel();
-        const Label rare2 = m2.newLabel();
-        const Label next2 = m2.newLabel();
-        const Label done2 = m2.newLabel();
-        m2.bind(loop2);
-        m2.branchCmp(Bc::CmpGe, i2, n2, done2);
-        const Reg rem2 = m2.binop(Bc::Rem, i2, k2);
-        const Reg zero2 = m2.constant(0);
-        const Reg hit2 = m2.cmp(Bc::CmpEq, rem2, zero2);
-        m2.branchIf(hit2, rare2);
-        m2.binopTo(Bc::Add, sum2, sum2, i2);
-        m2.jump(next2);
-        m2.bind(rare2);
-        m2.binopTo(Bc::Add, sum2, sum2, one2);
-        m2.jump(next2);
-        m2.bind(next2);
-        m2.binopTo(Bc::Add, i2, i2, one2);
-        m2.safepoint();
-        m2.jump(loop2);
-        m2.bind(done2);
-        m2.print(sum2);
-        m2.retVoid();
-        m2.finish();
-    }
-    pb2.setMain(mm2);
-    const Program profile_prog = pb2.build();
-    verifyOrDie(profile_prog);
+    const Program measure = driftFilterProgram(8000, 10);
+    const Program profile_prog = driftFilterProgram(8000, 400);
 
     rt::ExperimentConfig plain;
     plain.compiler = core::CompilerConfig::atomic();
@@ -318,6 +190,33 @@ TEST_F(ResilienceTest, DriftStormIsCuredByOverridesNotBlacklist)
     EXPECT_LT(after.regionAborts, before.regionAborts / 4);
     EXPECT_GT(after.regionEntries, 0u);
     EXPECT_EQ(counter(keys::kResilienceBlacklisted), black0);
+}
+
+TEST_F(ResilienceTest, ResilienceKeepsAdaptiveRepair)
+{
+    // pmd's drift aborts on about 8% of region entries, far below the
+    // storm rate. Enabling the resilience policy on top of adaptive
+    // recompilation must not take the controller's repair away.
+    const wl::Workload &pmd = wl::workloadByName("pmd");
+    const Program profile_prog = pmd.build(true);
+    const Program measure = pmd.build(false);
+
+    rt::ExperimentConfig adaptive;
+    adaptive.compiler = core::CompilerConfig::atomicAggressiveInline();
+    adaptive.adaptiveRecompile = true;
+    const auto alone =
+        rt::runExperiment(profile_prog, measure, adaptive, pmd.samples);
+    ASSERT_TRUE(alone.completed);
+    ASSERT_TRUE(alone.recompiled);
+
+    rt::ExperimentConfig both = adaptive;
+    both.resilience.enabled = true;
+    const auto with =
+        rt::runExperiment(profile_prog, measure, both, pmd.samples);
+    ASSERT_TRUE(with.completed);
+    EXPECT_TRUE(with.recompiled);
+    EXPECT_LE(with.abortPct, alone.abortPct);
+    EXPECT_EQ(with.outputChecksum, alone.outputChecksum);
 }
 
 TEST_F(ResilienceTest, BlacklistedMethodSkipsRegionFormation)
