@@ -59,8 +59,8 @@ namespace wl = aregion::workloads;
 class BenchReport
 {
   public:
-    /** Parses and strips `--json <path>` from argv (so wrapped
-     *  argument parsers, e.g. google-benchmark's, never see it). */
+    /** Parses and strips `--json <path>` from argv, leaving the
+     *  binary's own flags for its parser. */
     BenchReport(std::string bench_name, int &argc, char **argv)
         : name(std::move(bench_name))
     {
@@ -144,17 +144,24 @@ class BenchReport
     std::vector<std::pair<std::string, aregion::TextTable>> tables;
 };
 
+/** Bad command line: print `problem` and `usage` on stderr and exit
+ *  2. Call it before any work starts, so stdout stays empty. */
+[[noreturn]] inline void
+usageError(const std::string &problem, const char *usage)
+{
+    std::fprintf(stderr, "%s\nusage: %s\n", problem.c_str(), usage);
+    std::exit(2);
+}
+
 /** For a binary whose flags are all consumed: any argument left in
- *  argv (a misspelt flag, `--json` without a path) prints `usage`
- *  and exits 2 before any work starts. */
+ *  argv (a misspelt flag, `--json` without a path) is a usage
+ *  error. */
 inline void
 rejectStrayArgs(int argc, char **argv, const char *usage)
 {
-    if (argc <= 1)
-        return;
-    std::fprintf(stderr, "unexpected argument '%s'\nusage: %s\n",
-                 argv[1], usage);
-    std::exit(2);
+    if (argc > 1)
+        usageError("unexpected argument '" + std::string(argv[1]) + "'",
+                   usage);
 }
 
 /** The four Figure 7/8 compiler configurations plus the grey bar. */

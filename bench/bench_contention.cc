@@ -8,21 +8,26 @@
  * attached, and reports — per (workload, contexts) cell — region
  * entries/commits, conflict aborts (the counter every single-context
  * figure leaves at zero), aborts per 1k commits, and governor
- * activity. `tools/perf_snapshot.sh` snapshots the JSON export to
- * BENCH_contention.json (the `bench-contention` target).
+ * activity. Its JSON export of the default run is the committed
+ * BENCH_contention.json (rewritten by the `bench-contention` target,
+ * checked by the `bench_contention_matches_snapshot` ctest).
  *
  * Flags (beyond the shared --json):
  *   --workload <name>   run one workload instead of the suite
- *   --contexts <n>      run one contention level instead of the curve
+ *   --contexts <n>      run one contention level (2-32) instead of
+ *                       the curve
  *   --seed <n>          governor/injection seed (default 1)
  *   --inject            arm machine.conflict + machine.commit_stall
  *
+ * A bad flag or value exits 2 with a usage line before any cell runs.
  * The oracle stamps failing cells with exactly these flags, so any
  * reported divergence is a one-line replay.
  */
 
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,6 +48,24 @@ namespace failpoint = aregion::failpoint;
 constexpr const char *kInjectSpec =
     "machine.conflict:p0.02,machine.commit_stall:p0.05=64";
 
+constexpr const char *kUsage =
+    "bench_contention [--workload <name>] [--contexts <2-32>] "
+    "[--seed <n>] [--inject] [--json <path>]";
+
+/** `text` read as a whole number: decimal digits only, in range. */
+std::optional<uint64_t>
+wholeNumber(const std::string &text)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return std::nullopt;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
 } // namespace
 
 int
@@ -60,9 +83,21 @@ main(int argc, char **argv)
         if (arg == "--workload" && i + 1 < argc) {
             only_workload = argv[++i];
         } else if (arg == "--contexts" && i + 1 < argc) {
-            only_contexts = std::atoi(argv[++i]);
+            const std::string value = argv[++i];
+            const std::optional<uint64_t> n = wholeNumber(value);
+            if (!n || *n < 2 || *n > 32)
+                bench::usageError("--contexts wants a whole number from "
+                                  "2 to 32, not '" + value + "'",
+                                  kUsage);
+            only_contexts = static_cast<int>(*n);
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            const std::string value = argv[++i];
+            const std::optional<uint64_t> n = wholeNumber(value);
+            if (!n)
+                bench::usageError("--seed wants a whole number, not '" +
+                                      value + "'",
+                                  kUsage);
+            seed = *n;
         } else if (arg == "--inject") {
             inject = true;
         } else {
@@ -71,21 +106,20 @@ main(int argc, char **argv)
     }
     argc = out;
     bench::BenchReport report("contention", argc, argv);
-    bench::rejectStrayArgs(argc, argv,
-                           "bench_contention [--workload <name>] "
-                           "[--contexts <n>] [--seed <n>] [--inject] "
-                           "[--json <path>]");
+    bench::rejectStrayArgs(argc, argv, kUsage);
 
     std::vector<int> levels{2, 4, 8, 16, 32};
     if (only_contexts > 0)
         levels = {only_contexts};
     std::vector<const ct::ContentionWorkload *> suite;
-    if (only_workload.empty()) {
-        for (const ct::ContentionWorkload &w : ct::contentionSuite())
+    for (const ct::ContentionWorkload &w : ct::contentionSuite()) {
+        if (only_workload.empty() || w.name == only_workload)
             suite.push_back(&w);
-    } else {
-        suite.push_back(&ct::contentionWorkloadByName(only_workload));
     }
+    if (suite.empty())
+        bench::usageError("--workload: no workload named '" +
+                              only_workload + "'",
+                          kUsage);
 
     // Injection is grid-scoped: the registry is process-global, so
     // arming must finish before any machine starts evaluating.

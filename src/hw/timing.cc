@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/failpoint.hh"
 #include "support/logging.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
@@ -74,10 +73,6 @@ TimingModel::TimingModel(const TimingConfig &config)
     lastUopComplete = cfg.startCycle;
     lastRetire = cfg.startCycle;
     lastRegionEndRetire = cfg.startCycle;
-    auto &fps = failpoint::Registry::global();
-    fpMispredict =
-        fps.anyArmed() ? fps.find(failpoint::kTimingMispredict)
-                       : nullptr;
     leakOn = cfg.leakObserver;
 }
 
@@ -300,18 +295,8 @@ TimingModel::processUop(const TraceUop &u)
     // --- Branch resolution ----------------------------------------
     if (u.isBranch) {
         ++branches;
-        const bool predicted = predictor.predictTaken(u.pc);
-        bool flushed = false;
-        if (predicted != u.taken) {
+        if (predictor.predictTaken(u.pc) != u.taken) {
             ++mispredicts;
-            flushed = true;
-        } else if (fpMispredict && fpMispredict->evaluate()) {
-            // Forced flush: model front-end pressure by charging a
-            // correctly-predicted branch the full redirect penalty.
-            ++injectedMispredicts;
-            flushed = true;
-        }
-        if (flushed) {
             fetchResumeAt = std::max(
                 fetchResumeAt,
                 complete + static_cast<uint64_t>(
@@ -407,8 +392,6 @@ TimingModel::publishTelemetry() const
     reg.add(keys::kTimingStallFetch, stallFetch);
     reg.add(keys::kTimingStallSerial, stallSerial);
     reg.add(keys::kTimingStallRegion, stallRegion);
-    if (fpMispredict)
-        reg.add(keys::kTimingInjectMispredict, injectedMispredicts);
     // Leakage-observer counters register only when the mode is on,
     // keeping default runs' telemetry (and their JSON exports)
     // byte-identical.

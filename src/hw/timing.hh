@@ -25,10 +25,6 @@
 #include "hw/cache.hh"
 #include "hw/trace.hh"
 
-namespace aregion::failpoint {
-class Failpoint;
-} // namespace aregion::failpoint
-
 namespace aregion::hw {
 
 /** Microarchitectural parameters (Table 1 defaults). */
@@ -122,9 +118,6 @@ class TimingModel : public TraceSink
     uint64_t uopCount = 0;
     uint64_t branches = 0;
     uint64_t mispredicts = 0;
-    /** Correctly-predicted branches flipped to mispredicts by the
-     *  timing.mispredict failpoint (not included in `mispredicts`). */
-    uint64_t injectedMispredicts = 0;
     uint64_t indirects = 0;
     uint64_t indirectMispredicts = 0;
     uint64_t serializations = 0;
@@ -186,10 +179,6 @@ class TimingModel : public TraceSink
     TimingConfig cfg;
     BranchPredictor predictor;
     CacheHierarchy caches;
-
-    /** timing.mispredict failpoint handle, resolved at construction;
-     *  nullptr (one dead branch per conditional branch) when unarmed. */
-    failpoint::Failpoint *fpMispredict = nullptr;
 
     static constexpr size_t HIST = 8192;
     /** Completion/retire cycles of the last HIST uops, stored as

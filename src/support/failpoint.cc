@@ -1,5 +1,6 @@
 #include "support/failpoint.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
@@ -210,13 +211,19 @@ Registry::configure(const std::string &list, std::string *err)
             complain("entry '" + entry + "' is not <name>:<spec>");
             continue;
         }
+        const std::string name = entry.substr(0, colon);
+        if (std::find(std::begin(kNames), std::end(kNames), name) ==
+            std::end(kNames)) {
+            complain("entry '" + entry + "' names no failpoint");
+            continue;
+        }
         Spec spec;
         std::string spec_err;
         if (!parseSpec(entry.substr(colon + 1), &spec, &spec_err)) {
             complain(spec_err);
             continue;
         }
-        arm(entry.substr(0, colon), spec);
+        arm(name, spec);
         ++armed;
     }
     if (!errors.empty()) {

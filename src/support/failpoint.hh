@@ -59,7 +59,6 @@ inline constexpr const char *kMachineAssert = "machine.assert";
 inline constexpr const char *kMachineConflict = "machine.conflict";
 inline constexpr const char *kMachineCommitStall =
     "machine.commit_stall";
-inline constexpr const char *kTimingMispredict = "timing.mispredict";
 // Negative self-tests for the robustness layer (docs/RESILIENCE.md):
 // plant a known rollback bug / aborted-work trace that the
 // bisimulation oracle / leakage observer must catch. The names
@@ -67,6 +66,14 @@ inline constexpr const char *kTimingMispredict = "timing.mispredict";
 inline constexpr const char *kOracleDivergence =
     "oracle.inject.divergence";
 inline constexpr const char *kMachineLeak = "machine.inject.leak";
+
+/** Every name above: the only names Registry::configure() arms, so a
+ *  misspelt name in AREGION_FAILPOINTS is reported, not ignored. */
+inline constexpr const char *kNames[] = {
+    kMachineInterrupt, kMachineCapacity,    kMachineAssert,
+    kMachineConflict,  kMachineCommitStall, kOracleDivergence,
+    kMachineLeak,
+};
 
 /** How an armed failpoint decides to fire. */
 enum class Trigger : uint8_t {
@@ -141,11 +148,12 @@ class Registry
     void arm(const std::string &name, const Spec &spec);
 
     /**
-     * Arm every entry of a comma-separated `name:spec` list. Every
-     * well-formed entry is armed even when other entries are
-     * malformed. Returns the number of failpoints armed, or -1 if
-     * any entry was malformed (with *err describing every bad entry,
-     * '; '-joined).
+     * Arm every entry of a comma-separated `name:spec` list. An entry
+     * is well-formed when its spec parses and its name is one of
+     * kNames. Every well-formed entry is armed even when other
+     * entries are malformed. Returns the number of failpoints armed,
+     * or -1 if any entry was malformed (with *err describing every
+     * bad entry, '; '-joined).
      */
     int configure(const std::string &list, std::string *err = nullptr);
 

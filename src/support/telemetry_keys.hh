@@ -96,8 +96,6 @@
     X(kTimingStallFetch, "timing.stall.fetch_redirect", Counter)            \
     X(kTimingStallSerial, "timing.stall.serialization", Counter)            \
     X(kTimingStallRegion, "timing.stall.region_begin", Counter)             \
-    /* Forced mispredicts (timing.mispredict failpoint). */                 \
-    X(kTimingInjectMispredict, "timing.inject.mispredict", Counter)         \
     /* Leakage observer; registered only when */                            \
     /* TimingConfig::leakObserver is on. */                                 \
     X(kTimingLeakRegions, "timing.leak.regions", Counter)                   \

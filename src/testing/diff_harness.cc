@@ -22,6 +22,23 @@ namespace aregion::testing {
 
 namespace {
 
+/** Interpreter/evaluator step budgets and the machine's uop budget.
+ *  Generated programs are tiny; a budget hit is reported as a skip. */
+constexpr uint64_t kMaxSteps = 1ull << 24;
+constexpr uint64_t kMachineMaxUops = 1ull << 26;
+constexpr uint64_t kHeapWords = 1ull << 22;
+
+/** Forced abort period of the evaluator's rollback stress run. */
+constexpr uint64_t kEvalForceAbortPeriod = 3;
+
+/** Reproduction stamp appended to bisim divergence reports: fuzzer
+ *  seed plus a one-command replay line (empty command = no stamp). */
+struct ReplayStamp
+{
+    uint64_t seed = 0;
+    std::string command;
+};
+
 /** Everything one executor run exposes for comparison. */
 struct Outcome
 {
@@ -223,17 +240,20 @@ DiffReport::summary() const
     return os.str();
 }
 
+namespace {
+
 DiffReport
-runDiff(const vm::Program &prog, bool threaded, const DiffOptions &opt)
+diffProgram(const vm::Program &prog, bool threaded,
+            const ReplayStamp &replay)
 {
     DiffReport report;
     report.threaded = threaded;
 
     // --- Reference: the plain bytecode interpreter. ------------------
-    vm::Interpreter ref_interp(prog, nullptr, opt.heapWords);
+    vm::Interpreter ref_interp(prog, nullptr, kHeapWords);
     Outcome ref;
     try {
-        const vm::InterpResult r = ref_interp.run(opt.interpMaxSteps);
+        const vm::InterpResult r = ref_interp.run(kMaxSteps);
         ref.completed = r.completed;
         ref.trap = r.trap;
     } catch (const vm::Trap &t) {
@@ -253,12 +273,12 @@ runDiff(const vm::Program &prog, bool threaded, const DiffOptions &opt)
 
     // --- Profiling interpreter (must not perturb semantics). ---------
     vm::Profile profile(prog);
-    vm::Interpreter prof_interp(prog, &profile, opt.heapWords);
+    vm::Interpreter prof_interp(prog, &profile, kHeapWords);
     {
         Outcome got;
         try {
             const vm::InterpResult r =
-                prof_interp.run(opt.interpMaxSteps);
+                prof_interp.run(kMaxSteps);
             got.completed = r.completed;
             got.trap = r.trap;
         } catch (const vm::Trap &t) {
@@ -285,12 +305,12 @@ runDiff(const vm::Program &prog, bool threaded, const DiffOptions &opt)
 
     auto runEval = [&](const ir::Module &mod, uint64_t force_abort,
                        const std::string &stage) {
-        ir::Evaluator eval(mod, opt.heapWords);
+        ir::Evaluator eval(mod, kHeapWords);
         eval.forceAbortPeriod = force_abort;
         Outcome got;
         ir::EvalResult r;
         try {
-            r = eval.run(opt.evalMaxSteps);
+            r = eval.run(kMaxSteps);
             got.completed = r.completed;
             got.trap = r.trap;
         } catch (const vm::Trap &t) {
@@ -323,15 +343,12 @@ runDiff(const vm::Program &prog, bool threaded, const DiffOptions &opt)
             if (depth == kAtomicPrefix)
                 atomic_eval_result = r;
         }
-        if (opt.evalForceAbortPeriod > 0) {
-            runEval(atomicMod, opt.evalForceAbortPeriod,
-                    "eval:forced-abort");
-        }
+        runEval(atomicMod, kEvalForceAbortPeriod, "eval:forced-abort");
     }
 
     // --- Machine runs. -----------------------------------------------
     // Shared layout heap: codegen bakes vtable/subtype addresses.
-    vm::Heap layout_heap(prog, opt.heapWords);
+    vm::Heap layout_heap(prog, kHeapWords);
     const hw::LayoutInfo layout = hw::LayoutInfo::fromHeap(layout_heap);
 
     struct MachineOutcome
@@ -345,18 +362,16 @@ runDiff(const vm::Program &prog, bool threaded, const DiffOptions &opt)
                           hw::TraceSink *sink, const std::string &stage,
                           bool digest_comparable) {
         const hw::MachineProgram mp = hw::lowerModule(mod, layout);
-        hw::Machine machine(mp, config, sink, opt.heapWords);
+        hw::Machine machine(mp, config, sink, kHeapWords);
         hw::RollbackOracle oracle;
         machine.setOracle(&oracle);
         hw::BisimOracle bisim(mp);
-        if (opt.withBisim) {
-            if (!opt.replayCommand.empty())
-                bisim.setReplayInfo(opt.replaySeed, opt.replayCommand);
-            machine.setBisimOracle(&bisim);
-        }
+        if (!replay.command.empty())
+            bisim.setReplayInfo(replay.seed, replay.command);
+        machine.setBisimOracle(&bisim);
         MachineOutcome mo;
         try {
-            mo.res = machine.run(opt.machineMaxUops);
+            mo.res = machine.run(kMachineMaxUops);
             mo.out.completed = mo.res.completed;
             mo.out.trap = mo.res.trap;
         } catch (const vm::Trap &t) {
@@ -400,36 +415,30 @@ runDiff(const vm::Program &prog, bool threaded, const DiffOptions &opt)
     // B: identical, but with the timing model observing the trace.
     // Timing must be a pure observer: architectural results (and the
     // heap image, leaks included) must match run A *exactly*.
-    if (opt.withTiming) {
-        hw::TimingModel timing(hw::TimingConfig::baseline());
-        const MachineOutcome runB =
-            runMachine(atomicMod, defaults, &timing, "machine:timing",
-                       true);
-        if (runB.out.output != runA.out.output ||
-            runB.out.digest != runA.out.digest ||
-            trapString(runB.out.trap) != trapString(runA.out.trap) ||
-            runB.res.retiredUops != runA.res.retiredUops ||
-            runB.res.regionAborts != runA.res.regionAborts) {
-            report.divergences.push_back(
-                {"machine:timing-observer",
-                 "timing-attached run differs from plain run: "
-                 "digest " + std::to_string(runB.out.digest) + " vs " +
-                 std::to_string(runA.out.digest) + ", retired " +
-                 std::to_string(runB.res.retiredUops) + " vs " +
-                 std::to_string(runA.res.retiredUops)});
-        }
+    hw::TimingModel timing(hw::TimingConfig::baseline());
+    const MachineOutcome runB = runMachine(atomicMod, defaults, &timing,
+                                           "machine:timing", true);
+    if (runB.out.output != runA.out.output ||
+        runB.out.digest != runA.out.digest ||
+        trapString(runB.out.trap) != trapString(runA.out.trap) ||
+        runB.res.retiredUops != runA.res.retiredUops ||
+        runB.res.regionAborts != runA.res.regionAborts) {
+        report.divergences.push_back(
+            {"machine:timing-observer",
+             "timing-attached run differs from plain run: "
+             "digest " + std::to_string(runB.out.digest) + " vs " +
+             std::to_string(runA.out.digest) + ", retired " +
+             std::to_string(runB.res.retiredUops) + " vs " +
+             std::to_string(runA.res.retiredUops)});
     }
 
     // C: hostile geometry on the deepest module — tiny speculative
     // cache and aggressive interrupts force the abort paths.
-    if (opt.hostileMachine) {
-        hw::HwConfig hostile;
-        hostile.l1Lines = 16;
-        hostile.l1Assoc = 2;
-        hostile.interruptPeriod = 997;
-        runMachine(postdomMod, hostile, nullptr, "machine:hostile",
-                   false);
-    }
+    hw::HwConfig hostile;
+    hostile.l1Lines = 16;
+    hostile.l1Assoc = 2;
+    hostile.interruptPeriod = 997;
+    runMachine(postdomMod, hostile, nullptr, "machine:hostile", false);
 
     // --- Telemetry-visible abort causes. -----------------------------
     // Explicit (assert-id) abort counts must agree between the
@@ -470,18 +479,23 @@ runDiff(const vm::Program &prog, bool threaded, const DiffOptions &opt)
     return report;
 }
 
+} // namespace
+
 DiffReport
-runDiff(const GenProgram &gp, const DiffOptions &opt)
+runDiff(const vm::Program &prog, bool threaded)
+{
+    return diffProgram(prog, threaded, {});
+}
+
+DiffReport
+runDiff(const GenProgram &gp)
 {
     const vm::Program prog = renderProgram(gp);
-    DiffOptions stamped = opt;
-    if (stamped.replayCommand.empty()) {
-        stamped.replaySeed = gp.seed;
-        stamped.replayCommand = "fuzz_diff --masks " +
-            maskName(gp.features) + " --start " +
-            std::to_string(gp.seed) + " --seeds 1";
-    }
-    return runDiff(prog, usesThreads(gp), stamped);
+    return diffProgram(prog, usesThreads(gp),
+                       {gp.seed, "fuzz_diff --masks " +
+                                     maskName(gp.features) + " --start " +
+                                     std::to_string(gp.seed) +
+                                     " --seeds 1"});
 }
 
 } // namespace aregion::testing

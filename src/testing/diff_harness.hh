@@ -38,42 +38,6 @@
 
 namespace aregion::testing {
 
-/** Harness knobs (defaults are what fuzz_diff and ctest use). */
-struct DiffOptions
-{
-    /** Run the machine under a hostile geometry (tiny speculative
-     *  cache, aggressive interrupts) as an extra variant. */
-    bool hostileMachine = true;
-
-    /** Attach a timing model to one machine run and require it to be
-     *  a pure observer (identical architectural results). */
-    bool withTiming = true;
-
-    /** Attach the deopt bisimulation oracle to every machine run:
-     *  each abort is replayed non-speculatively from its checkpoint
-     *  and the replay's observable state must match the post-abort
-     *  machine state (the fourth differential check). */
-    bool withBisim = true;
-
-    /** Reproduction stamp appended to bisim divergence reports
-     *  (fuzzer seed plus a one-command replay line). Set by the
-     *  GenProgram overload of runDiff; empty command = no stamp. */
-    uint64_t replaySeed = 0;
-    std::string replayCommand;
-
-    /** Forced abort period for the evaluator's rollback stress run
-     *  (0 disables that variant). */
-    uint64_t evalForceAbortPeriod = 3;
-
-    /** Interpreter/evaluator/machine step budgets. Generated
-     *  programs are tiny; a budget hit is reported as a skip. */
-    uint64_t interpMaxSteps = 1ull << 24;
-    uint64_t evalMaxSteps = 1ull << 24;
-    uint64_t machineMaxUops = 1ull << 26;
-
-    uint64_t heapWords = 1ull << 22;
-};
-
 struct DivergenceRecord
 {
     std::string stage;      ///< executor/comparison that disagreed
@@ -103,11 +67,11 @@ uint64_t heapDigest(const vm::Heap &heap);
 /** Run the full differential comparison for one program.
  *  @param threaded  true if the program spawns threads (the
  *                   evaluator is skipped: it rejects Spawn). */
-DiffReport runDiff(const vm::Program &prog, bool threaded,
-                   const DiffOptions &opt = {});
+DiffReport runDiff(const vm::Program &prog, bool threaded);
 
-/** Convenience: render and compare a generated program. */
-DiffReport runDiff(const GenProgram &gp, const DiffOptions &opt = {});
+/** Render and compare a generated program; bisimulation divergence
+ *  reports carry its seed and a one-command fuzz_diff replay. */
+DiffReport runDiff(const GenProgram &gp);
 
 } // namespace aregion::testing
 

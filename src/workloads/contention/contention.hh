@@ -74,12 +74,9 @@ struct ContentionRunConfig
 
     uint64_t machineMaxUops = 1ull << 30;
 
-    /** Attach the ContentionGovernor (backoff/fairness/livelock). */
-    bool governor = true;
+    /** The ContentionGovernor's backoff/fairness/livelock policy
+     *  (the governor and the rollback oracle are always attached). */
     runtime::ContentionPolicy policy;
-
-    /** Attach the cross-context rollback oracle. */
-    bool oracle = true;
 
     /** Attach the deopt bisimulation oracle (hw/bisim.hh): every
      *  abort — including conflict aborts between fighting contexts —

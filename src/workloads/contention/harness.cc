@@ -149,10 +149,8 @@ runContentionCell(const ContentionWorkload &workload,
 
     hw::Machine machine(mp, hw_cfg, nullptr, cfg.heapWords);
     hw::RollbackOracle oracle;
-    if (cfg.oracle) {
-        oracle.setReplayInfo(cfg.seed, replay);
-        machine.setOracle(&oracle);
-    }
+    oracle.setReplayInfo(cfg.seed, replay);
+    machine.setOracle(&oracle);
     hw::BisimOracle bisim(mp);
     if (cfg.bisim) {
         bisim.setReplayInfo(cfg.seed, replay);
@@ -161,8 +159,7 @@ runContentionCell(const ContentionWorkload &workload,
     runtime::ContentionPolicy policy = cfg.policy;
     policy.seed = cfg.seed;
     runtime::ContentionGovernor governor(policy);
-    if (cfg.governor)
-        machine.setContentionControl(&governor);
+    machine.setContentionControl(&governor);
 
     hw::MachineResult res;
     try {

@@ -187,14 +187,17 @@ TEST_F(FailpointTest, ConfigureParsesCsv)
 {
     auto &reg = fp::Registry::global();
     std::string err;
-    EXPECT_EQ(reg.configure("a.x:n2,b.y:p0.5=7,c.z:once3", &err), 3)
+    EXPECT_EQ(reg.configure("machine.assert:n2,machine.capacity:p0.5=7,"
+                            "machine.commit_stall:once3",
+                            &err),
+              3)
         << err;
     const auto names = reg.armedNames();
     ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "a.x");
-    EXPECT_EQ(names[1], "b.y");
-    EXPECT_EQ(names[2], "c.z");
-    fp::Failpoint *b = reg.find("b.y");
+    EXPECT_EQ(names[0], "machine.assert");
+    EXPECT_EQ(names[1], "machine.capacity");
+    EXPECT_EQ(names[2], "machine.commit_stall");
+    fp::Failpoint *b = reg.find("machine.capacity");
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(b->value(), 7);
 
@@ -211,14 +214,16 @@ TEST_F(FailpointTest, MalformedEntriesDoNotDropValidOnes)
     // bad entry (';'-joined) so the warning is actionable.
     auto &reg = fp::Registry::global();
     std::string err;
-    EXPECT_EQ(reg.configure("a.x:n2,garbage,b.y:p0.5", &err), -1);
+    EXPECT_EQ(reg.configure(
+                  "machine.assert:n2,garbage,machine.capacity:p0.5", &err),
+              -1);
     EXPECT_NE(err.find("garbage"), std::string::npos) << err;
     const auto names = reg.armedNames();
     ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "a.x");
-    EXPECT_EQ(names[1], "b.y");
-    EXPECT_NE(reg.find("a.x"), nullptr);
-    EXPECT_NE(reg.find("b.y"), nullptr);
+    EXPECT_EQ(names[0], "machine.assert");
+    EXPECT_EQ(names[1], "machine.capacity");
+    EXPECT_NE(reg.find("machine.assert"), nullptr);
+    EXPECT_NE(reg.find("machine.capacity"), nullptr);
 }
 
 TEST_F(FailpointTest, EveryMalformedEntryIsReported)
@@ -227,24 +232,52 @@ TEST_F(FailpointTest, EveryMalformedEntryIsReported)
     std::string err;
     // Three distinct failure shapes: no colon, empty name, bad
     // trigger. All three must appear in the joined error message.
-    EXPECT_EQ(
-        reg.configure("no-colon,:p0.5,c.z:zap7,d.w:once2", &err), -1);
+    EXPECT_EQ(reg.configure("no-colon,:p0.5,machine.commit_stall:zap7,"
+                            "machine.conflict:once2",
+                            &err),
+              -1);
     EXPECT_NE(err.find("no-colon"), std::string::npos) << err;
     EXPECT_NE(err.find("zap7"), std::string::npos) << err;
     EXPECT_GE(std::count(err.begin(), err.end(), ';'), 2) << err;
     // The one valid entry still armed.
     const auto names = reg.armedNames();
     ASSERT_EQ(names.size(), 1u);
-    EXPECT_EQ(names[0], "d.w");
+    EXPECT_EQ(names[0], "machine.conflict");
+}
+
+TEST_F(FailpointTest, UnknownNamesAreReportedNotArmed)
+{
+    // A misspelt name arms a point no hook consults: the run would
+    // inject nothing while its export still recorded the injection.
+    // It is reported like a malformed entry and the rest still arm.
+    auto &reg = fp::Registry::global();
+    std::string err;
+    EXPECT_EQ(reg.configure("machine.conflit:p0.9,machine.conflict:n2,"
+                            "timing.mispredict:once",
+                            &err),
+              -1);
+    EXPECT_NE(err.find("machine.conflit"), std::string::npos) << err;
+    EXPECT_NE(err.find("timing.mispredict"), std::string::npos) << err;
+    EXPECT_EQ(reg.find("machine.conflit"), nullptr);
+    EXPECT_EQ(reg.describe(), "machine.conflict:n2");
+
+    for (const char *name : fp::kNames) {
+        reg.disarmAll();
+        EXPECT_EQ(reg.configure(std::string(name) + ":n1", &err), 1)
+            << name;
+    }
 }
 
 TEST_F(FailpointTest, DescribeRoundTrips)
 {
     auto &reg = fp::Registry::global();
     std::string err;
-    ASSERT_EQ(reg.configure("a.x:n2,b.y:once3=9", &err), 2) << err;
+    ASSERT_EQ(
+        reg.configure("machine.assert:n2,machine.capacity:once3=9", &err),
+        2)
+        << err;
     const std::string desc = reg.describe();
-    EXPECT_EQ(desc, "a.x:n2,b.y:once3=9");
+    EXPECT_EQ(desc, "machine.assert:n2,machine.capacity:once3=9");
 
     reg.disarmAll();
     ASSERT_EQ(reg.configure(desc, &err), 2) << err;
@@ -255,10 +288,12 @@ TEST_F(FailpointTest, DisarmRemovesPoint)
 {
     auto &reg = fp::Registry::global();
     std::string err;
-    ASSERT_EQ(reg.configure("a.x:n2,b.y:n3", &err), 2) << err;
-    reg.disarm("a.x");
-    EXPECT_EQ(reg.find("a.x"), nullptr);
-    EXPECT_NE(reg.find("b.y"), nullptr);
+    ASSERT_EQ(reg.configure("machine.assert:n2,machine.capacity:n3", &err),
+              2)
+        << err;
+    reg.disarm("machine.assert");
+    EXPECT_EQ(reg.find("machine.assert"), nullptr);
+    EXPECT_NE(reg.find("machine.capacity"), nullptr);
     EXPECT_TRUE(reg.anyArmed());
     reg.disarmAll();
     EXPECT_FALSE(reg.anyArmed());

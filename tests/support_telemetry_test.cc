@@ -324,12 +324,11 @@ TEST(MachineTelemetry, AbortCountersMatchRegionRuntime)
 }
 
 /** Regression: compileProgram itself owns the jit.compile_us
- *  aggregate. The bench harnesses call compileProgram directly
- *  (bypassing runExperiment), and the aggregate used to live in a
- *  runtime-layer wrapper — so BENCH_simulator.json exported
- *  jit.compile_us=0 next to non-zero per-pass timers. The aggregate
- *  must cover at least the sum of every per-pass timer it breaks
- *  down into. */
+ *  aggregate. Harnesses that call compileProgram directly (bypassing
+ *  runExperiment) used to export jit.compile_us=0 next to non-zero
+ *  per-pass timers, when the aggregate lived in a runtime-layer
+ *  wrapper. The aggregate must cover at least the sum of every
+ *  per-pass timer it breaks down into. */
 TEST(CompileTelemetry, AggregateCoversPerPassTimers)
 {
     auto &reg = telemetry::Registry::global();
@@ -394,8 +393,8 @@ TEST(Catalog, RuntimeKeysAreCataloguedAndDocumented)
  *  adds) are exactly the catalog, each in its kind's section, with
  *  no other telemetry field; and no compile/profile aggregate
  *  contradicts its components (the jit.compile_us=0 next to
- *  non-zero jit.pass.*_us shape, among others). Regenerate with
- *  `tools/perf_snapshot.sh --all`. */
+ *  non-zero jit.pass.*_us shape, among others). Regenerate
+ *  BENCH_contention.json with the `bench-contention` build target. */
 TEST(Catalog, CommittedSnapshotsMatchCatalog)
 {
     std::map<std::string, keys::KeyKind> kinds;

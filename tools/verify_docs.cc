@@ -27,12 +27,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "support/failpoint.hh"
 #include "support/telemetry_keys.hh"
 
 namespace fs = std::filesystem;
@@ -50,19 +52,17 @@ const std::set<std::string> kFamilies = {
     "oracle",
 };
 
-/// Failpoint names (support/failpoint.hh) share the dotted notation
+/// Failpoint names (failpoint::kNames) share the dotted notation
 /// with telemetry keys but are not telemetry; docs may cite them.
 /// `oracle.inject.divergence` and `machine.inject.leak` are *both* —
 /// failpoint name and the telemetry key counting its firings — so
 /// they resolve either way.
-const std::set<std::string> kFailpoints = {
-    "machine.interrupt", "machine.capacity",     "machine.assert",
-    "machine.conflict",  "machine.commit_stall", "timing.mispredict",
-    "oracle.inject.divergence", "machine.inject.leak",
-};
+const std::set<std::string> kFailpoints(
+    std::begin(aregion::failpoint::kNames),
+    std::end(aregion::failpoint::kNames));
 
 /// Tokens whose final segment is a file extension are file names
-/// (`jit.cc`, `tools/perf_snapshot.sh`), not telemetry keys.
+/// (`jit.cc`, `tools/check_sanitizers.sh`), not telemetry keys.
 const std::set<std::string> kFileExtensions = {
     "cc", "hh", "md", "sh", "json", "txt", "csv", "py", "cmake", "html",
 };
