@@ -24,15 +24,14 @@
  * reported divergence is a one-line replay.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "support/table.hh"
+#include "support/whole_number.hh"
 #include "workloads/contention/contention.hh"
 
 namespace {
@@ -52,20 +51,6 @@ constexpr const char *kUsage =
     "bench_contention [--workload <name>] [--contexts <2-32>] "
     "[--seed <n>] [--inject] [--json <path>]";
 
-/** `text` read as a whole number: decimal digits only, in range. */
-std::optional<uint64_t>
-wholeNumber(const std::string &text)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return std::nullopt;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
-    if (errno == ERANGE)
-        return std::nullopt;
-    return v;
-}
-
 } // namespace
 
 int
@@ -84,7 +69,7 @@ main(int argc, char **argv)
             only_workload = argv[++i];
         } else if (arg == "--contexts" && i + 1 < argc) {
             const std::string value = argv[++i];
-            const std::optional<uint64_t> n = wholeNumber(value);
+            const std::optional<uint64_t> n = aregion::wholeNumber(value);
             if (!n || *n < 2 || *n > 32)
                 bench::usageError("--contexts wants a whole number from "
                                   "2 to 32, not '" + value + "'",
@@ -92,7 +77,7 @@ main(int argc, char **argv)
             only_contexts = static_cast<int>(*n);
         } else if (arg == "--seed" && i + 1 < argc) {
             const std::string value = argv[++i];
-            const std::optional<uint64_t> n = wholeNumber(value);
+            const std::optional<uint64_t> n = aregion::wholeNumber(value);
             if (!n)
                 bench::usageError("--seed wants a whole number, not '" +
                                       value + "'",

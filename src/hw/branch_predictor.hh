@@ -70,17 +70,6 @@ class BranchPredictor
     uint64_t predictTarget(uint64_t pc) const;
     void updateTarget(uint64_t pc, uint64_t target);
 
-    /** The gshare entry a branch at pc trains under the *current*
-     *  global history — the microarchitectural state a speculative
-     *  branch leaves behind even when its region aborts. The timing
-     *  model's leakage observer records these to diff discarded
-     *  against committed predictor footprints. */
-    size_t
-    predictionIndex(uint64_t pc) const
-    {
-        return gshareIndex(pc) & gshareMask;
-    }
-
   private:
     size_t gshareIndex(uint64_t pc) const;
 

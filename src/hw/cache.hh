@@ -69,10 +69,11 @@ class CacheHierarchy
      *  line size; pow2 values use a shift instead of a divide). */
     int accessLatency(uint64_t word_addr, int line_words);
 
-    /** Line number of a word address — the same mapping
-     *  accessLatency uses, exposed so the timing model's leakage
-     *  observer records footprints at the model's own line
-     *  granularity. */
+    uint64_t l1Misses() const { return l1.misses; }
+    uint64_t l2Misses() const { return l2.misses; }
+
+  private:
+    /** Line number of a word address. */
     static uint64_t
     lineOf(uint64_t word_addr, int line_words)
     {
@@ -82,10 +83,6 @@ class CacheHierarchy
                    : word_addr / words;
     }
 
-    uint64_t l1Misses() const { return l1.misses; }
-    uint64_t l2Misses() const { return l2.misses; }
-
-  private:
     Cache l1;
     Cache l2;
     int l1Lat;

@@ -239,24 +239,6 @@ Machine::doAbort(Ctx &ctx, AbortCause cause, int abort_id,
     if (ctx.id == 0) {
         result.discardedUops += spec.uops;
         if (sink) {
-            // Planted aborted-work trace (machine.inject.leak
-            // failpoint): a speculative load of a line the committed
-            // path never touches, streamed before the abort flush so
-            // the timing model attributes it to the dying attempt
-            // (payload = word address; default one far off the heap).
-            if (injectOn && fpLeak && fpLeak->evaluate()) {
-                result.injectedLeaks++;
-                TraceUop t;
-                t.seq = ++tracedSeq;
-                t.pc = static_cast<uint32_t>(resolve_pc);
-                t.isLoad = true;
-                t.lat = LatClass::Load;
-                const int64_t payload = fpLeak->value();
-                t.memAddr = payload > 0
-                                ? static_cast<uint64_t>(payload)
-                                : (1ull << 32);
-                pushTrace(t);
-            }
             flushTrace();
             sink->abortFlush({cause, spec.uops, resolve_pc});
         }
@@ -901,15 +883,13 @@ Machine::publishTelemetry()
                     result.injectedAsserts +
                     result.injectedConflicts +
                     result.injectedCommitStalls);
-        // The two negative-self-test hooks register their counters
-        // only when their own failpoint is armed, so runs arming the
-        // classic injectors see an unchanged key set.
+        // The negative-self-test hook registers its counter only when
+        // its own failpoint is armed, so runs arming the classic
+        // injectors see an unchanged key set.
         if (fpDivergence) {
             reg.add(keys::kOracleInjectDivergence,
                     result.injectedDivergences);
         }
-        if (fpLeak)
-            reg.add(keys::kMachineInjectLeak, result.injectedLeaks);
     }
     // Bisimulation oracle counters exist only when the oracle is
     // attached (attach-only, like the RollbackOracle), keeping
@@ -969,14 +949,12 @@ Machine::run(uint64_t max_uops)
         fpConflict = fps.find(failpoint::kMachineConflict);
         fpCommitStall = fps.find(failpoint::kMachineCommitStall);
         fpDivergence = fps.find(failpoint::kOracleDivergence);
-        fpLeak = fps.find(failpoint::kMachineLeak);
     } else {
         fpInterrupt = fpCapacity = fpAssert = nullptr;
-        fpConflict = fpCommitStall = nullptr;
-        fpDivergence = fpLeak = nullptr;
+        fpConflict = fpCommitStall = fpDivergence = nullptr;
     }
     injectOn = fpInterrupt || fpCapacity || fpAssert || fpConflict ||
-               fpCommitStall || fpDivergence || fpLeak;
+               fpCommitStall || fpDivergence;
 
     result = MachineResult{};
     ctxs.clear();

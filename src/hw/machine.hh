@@ -168,7 +168,6 @@ struct MachineResult
     uint64_t injectedConflicts = 0;     ///< forced at aregion_end
     uint64_t injectedCommitStalls = 0;  ///< commits held open
     uint64_t injectedDivergences = 0;   ///< planted rollback bugs
-    uint64_t injectedLeaks = 0;         ///< planted aborted-work traces
 
     /** Scheduler steps burned in ContentionControl backoff stalls. */
     uint64_t backoffSteps = 0;
@@ -378,7 +377,6 @@ class Machine
     failpoint::Failpoint *fpConflict = nullptr;
     failpoint::Failpoint *fpCommitStall = nullptr;
     failpoint::Failpoint *fpDivergence = nullptr;
-    failpoint::Failpoint *fpLeak = nullptr;
 
     vm::Heap heapImpl;
     std::vector<Ctx> ctxs;

@@ -8,6 +8,16 @@
 
 namespace aregion::hw {
 
+namespace {
+
+/** Latencies no TimingConfig varies, in cycles. */
+constexpr uint64_t kBeginStallCycles = 20;  ///< Figure 9's stalled begin
+constexpr uint64_t kMulLatency = 3;
+constexpr uint64_t kDivLatency = 20;
+constexpr uint64_t kSerialLatency = 6;      ///< CAS / locked ops
+
+} // namespace
+
 TimingConfig
 TimingConfig::baseline()
 {
@@ -73,77 +83,6 @@ TimingModel::TimingModel(const TimingConfig &config)
     lastUopComplete = cfg.startCycle;
     lastRetire = cfg.startCycle;
     lastRegionEndRetire = cfg.startCycle;
-    leakOn = cfg.leakObserver;
-}
-
-void
-TimingModel::leakObserve(const TraceUop &u)
-{
-    if (u.region == RegionEvent::Begin) {
-        curRegionId = u.regionId;
-        attemptFp = LeakFootprint{};
-        // A fresh attempt ends any replay window: whatever follows
-        // belongs to the new speculation, not the old alternate path.
-        replayRegion = -1;
-        replayRemaining = 0;
-        return;
-    }
-    if (u.region == RegionEvent::End) {
-        if (curRegionId >= 0) {
-            committedFp[curRegionId].merge(attemptFp);
-            attemptFp = LeakFootprint{};
-            curRegionId = -1;
-        }
-        return;
-    }
-
-    LeakFootprint *fp = nullptr;
-    if (curRegionId >= 0) {
-        fp = &attemptFp;
-    } else if (replayRemaining > 0 && replayRegion >= 0) {
-        fp = &committedFp[replayRegion];
-        if (--replayRemaining == 0)
-            replayRegion = -1;
-    }
-    if (!fp)
-        return;
-    if (u.isLoad || u.isStore) {
-        fp->lines.insert(
-            CacheHierarchy::lineOf(u.memAddr, cfg.lineWords));
-    }
-    // predictionIndex must be read before this uop's own
-    // predictor.update shifts the global history — leakObserve runs
-    // at the top of processUop, so it is.
-    if (u.isBranch)
-        fp->branchEntries.insert(predictor.predictionIndex(u.pc));
-}
-
-std::vector<TimingModel::RegionLeak>
-TimingModel::leakReport() const
-{
-    std::vector<RegionLeak> out;
-    for (const auto &[rid, discarded] : discardedFp) {
-        RegionLeak leak;
-        leak.regionId = rid;
-        const auto attempts = abortedAttempts.find(rid);
-        leak.abortedAttempts =
-            attempts != abortedAttempts.end() ? attempts->second : 0;
-        const auto committed = committedFp.find(rid);
-        static const LeakFootprint kEmpty;
-        const LeakFootprint &base = committed != committedFp.end()
-                                        ? committed->second
-                                        : kEmpty;
-        for (uint64_t line : discarded.lines) {
-            if (!base.lines.count(line))
-                leak.leakedLines.push_back(line);
-        }
-        for (size_t entry : discarded.branchEntries) {
-            if (!base.branchEntries.count(entry))
-                leak.leakedBranchEntries.push_back(entry);
-        }
-        out.push_back(std::move(leak));
-    }
-    return out;
 }
 
 uint64_t
@@ -180,8 +119,6 @@ void
 TimingModel::processUop(const TraceUop &u)
 {
     ++uopCount;
-    if (leakOn) [[unlikely]]
-        leakObserve(u);
 
     // --- Dispatch -------------------------------------------------
     // Each gate that raises the dispatch cycle is a stall candidate;
@@ -223,12 +160,11 @@ TimingModel::processUop(const TraceUop &u)
     }
     if (u.region == RegionEvent::Begin) {
         ++regionBegins;
-        regionOpen = true;
         switch (cfg.regionImpl) {
           case TimingConfig::RegionImpl::Checkpoint:
             break;    // rename-table checkpoint: free
           case TimingConfig::RegionImpl::StallBegin:
-            d += static_cast<uint64_t>(cfg.beginStallCycles);
+            d += kBeginStallCycles;
             blame = &stallRegion;
             break;
           case TimingConfig::RegionImpl::SingleInflight:
@@ -262,17 +198,17 @@ TimingModel::processUop(const TraceUop &u)
         latency = 1;
         break;
       case LatClass::Mul:
-        latency = static_cast<uint64_t>(cfg.mulLatency);
+        latency = kMulLatency;
         break;
       case LatClass::Div:
-        latency = static_cast<uint64_t>(cfg.divLatency);
+        latency = kDivLatency;
         break;
       case LatClass::Load:
         latency = static_cast<uint64_t>(
             caches.accessLatency(u.memAddr, cfg.lineWords));
         break;
       case LatClass::Serial:
-        latency = static_cast<uint64_t>(cfg.serialLatency);
+        latency = kSerialLatency;
         if (u.isLoad || u.isStore)
             caches.accessLatency(u.memAddr, cfg.lineWords);
         break;
@@ -331,29 +267,14 @@ TimingModel::processUop(const TraceUop &u)
     retireRing[u.seq % HIST] = static_cast<uint32_t>(r - ringBase);
     lastRetire = std::max(lastRetire, r);
 
-    if (u.region == RegionEvent::End) {
-        regionOpen = false;
+    if (u.region == RegionEvent::End)
         lastRegionEndRetire = r;
-    }
 }
 
 void
-TimingModel::abortFlush(const AbortEvent &event)
+TimingModel::abortFlush(const AbortEvent &)
 {
     ++abortFlushes;
-    if (leakOn && curRegionId >= 0) {
-        // The attempt's footprint is now discarded work; the next
-        // `discardedUops` uops outside any region are the alternate
-        // path re-doing it non-speculatively — the committed replay
-        // whose footprint the leak diff subtracts.
-        discardedFp[curRegionId].merge(attemptFp);
-        ++abortedAttempts[curRegionId];
-        replayRegion = curRegionId;
-        replayRemaining = event.discardedUops;
-        attemptFp = LeakFootprint{};
-        curRegionId = -1;
-    }
-    regionOpen = false;
     // The pipeline flushes and redirects once the aborting
     // instruction (the last uop streamed) resolves, like a branch
     // mispredict (Section 6.1: early aborts cost little more than a
@@ -392,25 +313,6 @@ TimingModel::publishTelemetry() const
     reg.add(keys::kTimingStallFetch, stallFetch);
     reg.add(keys::kTimingStallSerial, stallSerial);
     reg.add(keys::kTimingStallRegion, stallRegion);
-    // Leakage-observer counters register only when the mode is on,
-    // keeping default runs' telemetry (and their JSON exports)
-    // byte-identical.
-    if (cfg.leakObserver) {
-        const std::vector<RegionLeak> report = leakReport();
-        uint64_t flagged = 0;
-        uint64_t leaked_lines = 0;
-        uint64_t leaked_branches = 0;
-        for (const RegionLeak &leak : report) {
-            if (leak.leaky())
-                ++flagged;
-            leaked_lines += leak.leakedLines.size();
-            leaked_branches += leak.leakedBranchEntries.size();
-        }
-        reg.add(keys::kTimingLeakRegions, report.size());
-        reg.add(keys::kTimingLeakFlagged, flagged);
-        reg.add(keys::kTimingLeakLines, leaked_lines);
-        reg.add(keys::kTimingLeakBranches, leaked_branches);
-    }
     // IPC of the cumulative registry totals, so a multi-run bench
     // reports its aggregate throughput.
     const uint64_t total_uops = reg.counterValue(keys::kTimingUops);

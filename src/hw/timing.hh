@@ -16,8 +16,6 @@
 #define AREGION_HW_TIMING_HH
 
 #include <cstddef>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,7 +38,6 @@ struct TimingConfig
     /** Atomic-primitive implementation (Figure 9). */
     enum class RegionImpl { Checkpoint, StallBegin, SingleInflight };
     RegionImpl regionImpl = RegionImpl::Checkpoint;
-    int beginStallCycles = 20;
 
     /** Memory hierarchy (line = 64B = 8 words). */
     int lineWords = 8;
@@ -52,26 +49,6 @@ struct TimingConfig
     int l2Latency = 20;
     int memLatency = 400;       ///< 100 ns at 4 GHz
     bool prefetcher = true;
-
-    /**
-     * Leakage-observer mode (off by default; Guarnieri et al.'s
-     * observation that architecturally-invisible aborted work still
-     * leaves microarchitectural traces). When on, the model records
-     * the cache-line and branch-predictor footprint of every
-     * *discarded* (aborted) region attempt, diffs it against the
-     * footprint of the committed replay of the same region, and
-     * flags regions whose aborted work touched state the committed
-     * path never touches (`timing.leak.*` telemetry,
-     * TimingModel::leakReport). Observation only: enabling it never
-     * changes a modelled latency, and disabled runs skip every hook
-     * behind one dead branch.
-     */
-    bool leakObserver = false;
-
-    /** Latencies by class. */
-    int mulLatency = 3;
-    int divLatency = 20;
-    int serialLatency = 6;      ///< CAS / locked ops
 
     /**
      * Initial value for every cycle-state field (testing knob).
@@ -145,29 +122,6 @@ class TimingModel : public TraceSink
     /** Cycle counter value at each marker crossing. */
     std::vector<std::pair<int64_t, uint64_t>> markerCycles;
 
-    /** Leakage verdict for one static region (leakObserver mode). */
-    struct RegionLeak
-    {
-        int regionId = -1;
-        uint64_t abortedAttempts = 0;
-        /** Cache lines / predictor entries touched by discarded
-         *  uops but by no committed execution of the region — the
-         *  input-dependent residue an observer could probe. */
-        std::vector<uint64_t> leakedLines;
-        std::vector<size_t> leakedBranchEntries;
-
-        bool leaky() const
-        {
-            return !leakedLines.empty() ||
-                   !leakedBranchEntries.empty();
-        }
-    };
-
-    /** Diff every aborted region's discarded footprint against its
-     *  committed footprint (leakObserver mode; empty otherwise).
-     *  Sorted by region id. */
-    std::vector<RegionLeak> leakReport() const;
-
   private:
     void processUop(const TraceUop &u);
     uint64_t historyComplete(uint64_t seq) const;
@@ -204,39 +158,6 @@ class TimingModel : public TraceSink
     uint64_t lastUopComplete = 0;
     uint64_t lastRetire = 0;
     uint64_t lastRegionEndRetire = 0;
-    bool regionOpen = false;
-
-    /** Leakage-observer state (dead unless cfg.leakObserver). A
-     *  footprint is the set of cache lines and gshare entries an
-     *  execution touched. The attempt footprint accumulates while a
-     *  region is open; End folds it into the region's committed
-     *  footprint, abortFlush into its discarded footprint and opens
-     *  a replay window: the next `discardedUops` uops outside any
-     *  region are the non-speculative alternate path re-doing the
-     *  aborted work, i.e. the committed replay to diff against. */
-    struct LeakFootprint
-    {
-        std::set<uint64_t> lines;
-        std::set<size_t> branchEntries;
-
-        void
-        merge(const LeakFootprint &o)
-        {
-            lines.insert(o.lines.begin(), o.lines.end());
-            branchEntries.insert(o.branchEntries.begin(),
-                                 o.branchEntries.end());
-        }
-    };
-    void leakObserve(const TraceUop &u);
-
-    bool leakOn = false;
-    int curRegionId = -1;
-    LeakFootprint attemptFp;
-    std::map<int, LeakFootprint> discardedFp;
-    std::map<int, LeakFootprint> committedFp;
-    std::map<int, uint64_t> abortedAttempts;
-    int replayRegion = -1;
-    uint64_t replayRemaining = 0;
 };
 
 } // namespace aregion::hw

@@ -17,15 +17,26 @@ namespace {
 
 namespace keys = telemetry::keys;
 
-/** Code budget of the store, counted in estimateCodeBytes: holds the
- *  ≈8 MB the benchmark's paper traffic compiles without evicting. */
-constexpr size_t kStoreCodeBytes = 16u << 20;
-
-/** Held profiles and program copies, and remembered one-time keys;
- *  each table is cleared when full. The benchmark's paper traffic
- *  needs 7 profiles, 7 programs and 64 keys. */
+/** Held profiles, program copies and compiles, and remembered
+ *  one-time keys; each table is cleared when full. The benchmark's
+ *  paper traffic needs 7 profiles, 7 programs, 57 compiles and 64
+ *  keys. */
 constexpr size_t kStorePrograms = 64;
+constexpr size_t kStoreCompiles = 128;
 constexpr size_t kStoreSeenKeys = 4096;
+
+/**
+ * One held compile. Its ir::Module holds a raw pointer to the program
+ * it was compiled from, so the entry keeps the store's copy of that
+ * program alive alongside the code: a caller may lower and run the
+ * module for as long as it holds the entry, even after the table was
+ * cleared.
+ */
+struct CachedCode
+{
+    std::shared_ptr<const vm::Program> program;
+    core::Compiled compiled;
+};
 
 /**
  * The experiment store: a process-wide memo of the two stages of a
@@ -34,7 +45,7 @@ constexpr size_t kStoreSeenKeys = 4096;
  *  - A profile depends only on the profile program, so it is keyed
  *    by service::hashProgram.
  *  - A compile depends only on (program, profile, config), so it is
- *    keyed by service::cacheKey and held in a service::CodeCache.
+ *    keyed by service::cacheKey.
  *
  * Lowering, execution and timing are not memoized: the timing model
  * consumes every uop of an execution.
@@ -102,27 +113,31 @@ class ExperimentStore
     {
         auto &registry = telemetry::Registry::global();
         const uint64_t key = service::cacheKey(prog, profile, config);
-        if (auto hit = code.lookup(key)) {
-            registry.add(keys::kJitStoreCompileHits, 1);
-            registry.counter(keys::kJitCompileUs);
-            return {hit, &hit->compiled};
-        }
         bool admit;
         {
             std::lock_guard<std::mutex> lock(mu);
+            const auto it = compiles.find(key);
+            if (it != compiles.end()) {
+                registry.add(keys::kJitStoreCompileHits, 1);
+                registry.counter(keys::kJitCompileUs);
+                return {it->second, &it->second->compiled};
+            }
             admit = secondRequestLocked(key);
         }
         if (!admit) {
             return std::make_shared<const core::Compiled>(
                 core::compileProgram(prog, profile, config));
         }
-        auto entry = std::make_shared<service::CachedCode>();
-        entry->key = key;
+        auto entry = std::make_shared<CachedCode>();
         entry->program = programCopy(prog);
         entry->compiled =
             core::compileProgram(*entry->program, profile, config);
-        entry->sizeBytes = service::estimateCodeBytes(entry->compiled);
-        code.insert(entry);
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            if (compiles.size() >= kStoreCompiles)
+                compiles.clear();
+            compiles[key] = entry;
+        }
         return {entry, &entry->compiled};
     }
 
@@ -151,13 +166,14 @@ class ExperimentStore
         return false;
     }
 
-    std::mutex mu;      ///< guards seen, profiles and programs
+    std::mutex mu;      ///< guards every table below
     std::unordered_set<uint64_t> seen;
     std::unordered_map<uint64_t, std::shared_ptr<const vm::Profile>>
         profiles;
     std::unordered_map<uint64_t, std::shared_ptr<const vm::Program>>
         programs;
-    service::CodeCache code{kStoreCodeBytes};
+    std::unordered_map<uint64_t, std::shared_ptr<const CachedCode>>
+        compiles;
 };
 
 /** hw runtime stats -> core adaptive telemetry. */

@@ -183,59 +183,4 @@ cacheKey(const vm::Program &prog, const vm::Profile &profile,
     return h.state;
 }
 
-size_t
-estimateCodeBytes(const core::Compiled &compiled)
-{
-    // Capacity model (docs/ARCHITECTURE.md): per-instruction
-    // footprint of the retained HIR plus per-function CFG overhead
-    // plus a fixed per-entry cost for the cache bookkeeping and stats
-    // block. The per-instruction cost is fitted to the heap the
-    // compiles of the DaCapo analogs keep: an 80-byte ir::Instr, its
-    // operand vector, and the block vectors' spare capacity.
-    constexpr size_t kBytesPerInstr = 128;
-    constexpr size_t kBytesPerFunc = 256;
-    constexpr size_t kBytesPerEntry = 512;
-    return kBytesPerEntry +
-           compiled.mod.funcs.size() * kBytesPerFunc +
-           static_cast<size_t>(compiled.stats.totalInstrs) *
-               kBytesPerInstr;
-}
-
-std::shared_ptr<const CachedCode>
-CodeCache::lookup(uint64_t key)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = table.find(key);
-    if (it == table.end())
-        return nullptr;
-    lruOrder.splice(lruOrder.begin(), lruOrder, it->second.lru);
-    return it->second.code;
-}
-
-void
-CodeCache::insert(const std::shared_ptr<const CachedCode> &code)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = table.find(code->key);
-    if (it != table.end()) {
-        // Two concurrent misses on one key: swap the payload in place.
-        bytesUsed -= it->second.code->sizeBytes;
-        it->second.code = code;
-        bytesUsed += code->sizeBytes;
-        lruOrder.splice(lruOrder.begin(), lruOrder, it->second.lru);
-    } else {
-        lruOrder.push_front(code->key);
-        table[code->key] = Entry{code, lruOrder.begin()};
-        bytesUsed += code->sizeBytes;
-    }
-    // The entry just inserted is at the front, so it is never the
-    // victim: an oversized one stays until the next insert.
-    while (bytesUsed > budget && table.size() > 1) {
-        auto victim = table.find(lruOrder.back());
-        bytesUsed -= victim->second.code->sizeBytes;
-        lruOrder.pop_back();
-        table.erase(victim);
-    }
-}
-
 } // namespace aregion::runtime::service

@@ -1,11 +1,14 @@
 #include "support/failpoint.hh"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "support/logging.hh"
+#include "support/whole_number.hh"
 
 namespace aregion::failpoint {
 
@@ -36,20 +39,6 @@ mix(uint64_t x)
     return x ^ (x >> 31);
 }
 
-bool
-parseUint(const std::string &text, uint64_t *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    *out = static_cast<uint64_t>(v);
-    return true;
-}
-
 } // namespace
 
 bool
@@ -68,34 +57,37 @@ parseSpec(const std::string &text, Spec *out, std::string *err)
         body.resize(eq);
         if (payload.empty())
             return fail("empty '=' payload");
-        char *end = nullptr;
-        errno = 0;
-        const long long v = std::strtoll(payload.c_str(), &end, 10);
-        if (errno != 0 || end != payload.c_str() + payload.size())
+        const char *last = payload.data() + payload.size();
+        const auto [end, ec] =
+            std::from_chars(payload.data(), last, spec.value);
+        if (ec != std::errc{} || end != last)
             return fail("bad integer payload '" + payload + "'");
-        spec.value = static_cast<int64_t>(v);
     }
 
     if (body.rfind("once", 0) == 0) {
         spec.trigger = Trigger::OneShot;
         const std::string arg = body.substr(4);
         // Bare "once" means "the first hit".
-        spec.n = 1;
-        if (!arg.empty() && (!parseUint(arg, &spec.n) || spec.n == 0))
+        const std::optional<uint64_t> n =
+            arg.empty() ? 1 : wholeNumber(arg);
+        if (!n || *n == 0)
             return fail("bad hit index '" + arg + "'");
+        spec.n = *n;
     } else if (body.rfind("n", 0) == 0) {
         spec.trigger = Trigger::EveryNth;
-        if (!parseUint(body.substr(1), &spec.n) || spec.n == 0)
+        const std::optional<uint64_t> n = wholeNumber(body.substr(1));
+        if (!n || *n == 0)
             return fail("bad period '" + body.substr(1) + "'");
+        spec.n = *n;
     } else if (body.rfind("p", 0) == 0) {
         spec.trigger = Trigger::Probability;
         const std::string arg = body.substr(1);
-        char *end = nullptr;
-        errno = 0;
-        spec.probability = std::strtod(arg.c_str(), &end);
-        if (arg.empty() || errno != 0 ||
-            end != arg.c_str() + arg.size() || spec.probability < 0.0 ||
-            spec.probability > 1.0) {
+        const char *last = arg.data() + arg.size();
+        const auto [end, ec] =
+            std::from_chars(arg.data(), last, spec.probability);
+        // Negated so NaN is rejected too.
+        if (ec != std::errc{} || end != last ||
+            !(spec.probability >= 0.0 && spec.probability <= 1.0)) {
             return fail("bad probability '" + arg + "'");
         }
     } else {
@@ -139,13 +131,11 @@ Failpoint::evaluate()
 Registry::Registry()
 {
     if (const char *env = std::getenv("AREGION_FAILPOINT_SEED")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            baseSeed = static_cast<uint64_t>(v);
+        if (const std::optional<uint64_t> seed = wholeNumber(env))
+            baseSeed = *seed;
         else
-            AREGION_WARN("ignoring non-numeric AREGION_FAILPOINT_SEED '",
-                         env, "'");
+            AREGION_WARN("ignoring AREGION_FAILPOINT_SEED '", env,
+                         "': not a whole number");
     }
     if (const char *env = std::getenv("AREGION_FAILPOINTS")) {
         std::string err;
@@ -324,9 +314,14 @@ Registry::describe() const
         out << name << ':';
         const Spec &spec = point->pointSpec;
         switch (spec.trigger) {
-          case Trigger::Probability:
-            out << 'p' << spec.probability;
+          case Trigger::Probability: {
+            // Shortest form that parses back to the same double.
+            char buf[32];
+            const auto res =
+                std::to_chars(buf, buf + sizeof buf, spec.probability);
+            out << 'p' << std::string_view(buf, res.ptr - buf);
             break;
+          }
           case Trigger::EveryNth:
             out << 'n' << spec.n;
             break;

@@ -59,20 +59,17 @@ inline constexpr const char *kMachineAssert = "machine.assert";
 inline constexpr const char *kMachineConflict = "machine.conflict";
 inline constexpr const char *kMachineCommitStall =
     "machine.commit_stall";
-// Negative self-tests for the robustness layer (docs/RESILIENCE.md):
-// plant a known rollback bug / aborted-work trace that the
-// bisimulation oracle / leakage observer must catch. The names
-// double as their telemetry counter keys.
+// Negative self-test for the robustness layer (docs/RESILIENCE.md):
+// plant a known rollback bug that the bisimulation oracle must
+// catch. The name doubles as its telemetry counter key.
 inline constexpr const char *kOracleDivergence =
     "oracle.inject.divergence";
-inline constexpr const char *kMachineLeak = "machine.inject.leak";
 
 /** Every name above: the only names Registry::configure() arms, so a
  *  misspelt name in AREGION_FAILPOINTS is reported, not ignored. */
 inline constexpr const char *kNames[] = {
     kMachineInterrupt, kMachineCapacity,    kMachineAssert,
     kMachineConflict,  kMachineCommitStall, kOracleDivergence,
-    kMachineLeak,
 };
 
 /** How an armed failpoint decides to fire. */

@@ -64,10 +64,9 @@
     X(kMachineInjectTotal, "machine.inject.total", Counter)                 \
     X(kMachineSpecSuppressed, "machine.region.spec_suppressed", Counter)    \
     X(kMachineLivelockTrips, "machine.region.livelock_trips", Counter)      \
-    /* Negative self-tests (the failpoint names double as keys): planted */ \
-    /* bugs the bisimulation oracle and the leakage observer must detect. */\
+    /* Negative self-test (the failpoint name doubles as the key): a */     \
+    /* planted bug the bisimulation oracle must detect. */                  \
     X(kOracleInjectDivergence, "oracle.inject.divergence", Counter)         \
-    X(kMachineInjectLeak, "machine.inject.leak", Counter)                   \
     /* --- oracle.bisim.* (src/hw/bisim.cc via machine.cc) ------------- */ \
     /* Registered only while a BisimOracle is attached. */                  \
     X(kOracleBisimChecks, "oracle.bisim.checks", Counter)                   \
@@ -96,12 +95,6 @@
     X(kTimingStallFetch, "timing.stall.fetch_redirect", Counter)            \
     X(kTimingStallSerial, "timing.stall.serialization", Counter)            \
     X(kTimingStallRegion, "timing.stall.region_begin", Counter)             \
-    /* Leakage observer; registered only when */                            \
-    /* TimingConfig::leakObserver is on. */                                 \
-    X(kTimingLeakRegions, "timing.leak.regions", Counter)                   \
-    X(kTimingLeakFlagged, "timing.leak.flagged", Counter)                   \
-    X(kTimingLeakLines, "timing.leak.lines", Counter)                       \
-    X(kTimingLeakBranches, "timing.leak.branches", Counter)                 \
     /* --- jit.* (src/runtime/jit.cc, src/opt/pass.cc) ----------------- */ \
     X(kJitRuns, "jit.runs", Counter)                                        \
     X(kJitRecompiles, "jit.recompiles", Counter)                            \

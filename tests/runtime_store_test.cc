@@ -5,19 +5,15 @@
  * program it was compiled from, requests that differ in the
  * bytecode, the profile or one configuration field never share an
  * entry, requests made once are never admitted, and one shared entry
- * gives identical results on every grid worker. Also checks the
- * compile memo on its own: its content address, its LRU under the
- * byte budget, and the code-size estimate that budget counts in
- * against the heap a compile actually keeps. One level up, the bench
- * Grid shares a cell only between requests whose program and config
- * are equal.
+ * gives identical results on every grid worker, and the compiles it
+ * holds are bounded. Also checks the content address on its own. One
+ * level up, the bench Grid shares a cell only between requests whose
+ * program and config are equal.
  *
  * Hits are observed through the jit.store.* counters, as deltas, so
  * the tests hold in any order within one process. Each test uses
  * programs or configurations no other test here requests.
  */
-
-#include <malloc.h>
 
 #include <cstdlib>
 #include <memory>
@@ -320,20 +316,28 @@ TEST(StoreTest, ConfigsDifferingInOneFieldNeverShareAnEntry)
     }
 }
 
-/** 200 distinct programs requested once each are never admitted, so
- *  a repeat of the first still misses on both profile and compile. */
-TEST(StoreTest, RequestsMadeOnceAreNeverAdmitted)
+/** `count` random programs from consecutive seeds, trap- and
+ *  thread-free so every one runs to completion. */
+std::vector<vm::Program>
+randomPrograms(uint64_t first_seed, uint64_t count)
 {
-    // Trap- and thread-free, so every program runs to completion.
     namespace gen = aregion::testing;
     constexpr uint32_t kFeatures = gen::kArrays | gen::kObjects |
                                    gen::kVirtualChains | gen::kMonitors |
                                    gen::kAbortShapes;
     std::vector<vm::Program> programs;
-    for (uint64_t seed = 7001; seed < 7201; ++seed) {
+    for (uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
         gen::RandomProgramGen generator(seed, kFeatures);
         programs.push_back(gen::renderProgram(generator.generate()));
     }
+    return programs;
+}
+
+/** 200 distinct programs requested once each are never admitted, so
+ *  a repeat of the first still misses on both profile and compile. */
+TEST(StoreTest, RequestsMadeOnceAreNeverAdmitted)
+{
+    const std::vector<vm::Program> programs = randomPrograms(7001, 200);
     const rt::ExperimentConfig config =
         experiment(core::CompilerConfig::baseline());
     const Hits start = hits();
@@ -346,6 +350,28 @@ TEST(StoreTest, RequestsMadeOnceAreNeverAdmitted)
     rt::runExperiment(programs.front(), programs.front(), config);
     EXPECT_EQ(hitsSince(before).profile, 0u);
     EXPECT_EQ(hitsSince(before).compile, 0u);
+}
+
+/** 300 distinct compiles, more than the store holds, each requested
+ *  twice so it is admitted. The store's memory is bounded: the first
+ *  compile has been dropped and runs again on its next request, while
+ *  the last is still held. */
+TEST(StoreTest, HeldCompilesAreBounded)
+{
+    const std::vector<vm::Program> programs = randomPrograms(7301, 300);
+    const rt::ExperimentConfig config =
+        experiment(core::CompilerConfig::baseline());
+    for (const vm::Program &p : programs) {
+        ASSERT_TRUE(rt::runExperiment(p, p, config).completed);
+        rt::runExperiment(p, p, config);
+    }
+
+    Hits before = hits();
+    rt::runExperiment(programs.front(), programs.front(), config);
+    EXPECT_EQ(hitsSince(before).compile, 0u) << "the first compile is gone";
+    before = hits();
+    rt::runExperiment(programs.back(), programs.back(), config);
+    EXPECT_EQ(hitsSince(before).compile, 1u) << "the last compile is held";
 }
 
 /** One experiment 16 times on four parallel::runGrid workers (a Grid
@@ -396,94 +422,6 @@ TEST(ServiceTest, CacheKeyReflectsEveryInput)
                                    core::CompilerConfig::baseline()));
     // Profiles drive region formation, so they are part of the key.
     EXPECT_NE(key_a, svc::cacheKey(a, profile_b, atomic));
-}
-
-/** A cache entry with no code, only a key and a size. */
-std::shared_ptr<const svc::CachedCode>
-fakeEntry(uint64_t key, size_t bytes)
-{
-    auto code = std::make_shared<svc::CachedCode>();
-    code->key = key;
-    code->sizeBytes = bytes;
-    return code;
-}
-
-TEST(StoreTest, CacheEvictsLruUnderByteBudget)
-{
-    svc::CodeCache cache(1000);
-    cache.insert(fakeEntry(1, 400));
-    cache.insert(fakeEntry(2, 400));
-    // Touch 1 so 2 becomes the LRU victim of the next insert.
-    EXPECT_NE(cache.lookup(1), nullptr);
-    cache.insert(fakeEntry(3, 400));
-    EXPECT_EQ(cache.lookup(2), nullptr);
-    EXPECT_NE(cache.lookup(1), nullptr);
-    EXPECT_NE(cache.lookup(3), nullptr);
-}
-
-/** An entry larger than the whole budget still serves its requesters;
- *  only the next insert displaces it. */
-TEST(StoreTest, CacheKeepsOversizedNewestEntry)
-{
-    svc::CodeCache cache(100);
-    cache.insert(fakeEntry(1, 400));
-    EXPECT_NE(cache.lookup(1), nullptr);
-    cache.insert(fakeEntry(2, 400));
-    EXPECT_EQ(cache.lookup(1), nullptr);
-    EXPECT_NE(cache.lookup(2), nullptr);
-}
-
-size_t
-heapInUse()
-{
-    const struct mallinfo2 info = mallinfo2();
-    return info.uordblks + info.hblkhd;
-}
-
-/** The store's code budget counts estimateCodeBytes; it must stay
- *  within a factor of 1.5 of the heap a compile keeps, on every
- *  analog at both ends of the configuration range. */
-TEST(CodeSizeEstimate, WithinFactorOfMeasuredHeapBytes)
-{
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "mallinfo2 does not see the sanitizer allocator";
-#endif
-    constexpr double kFactor = 1.5;
-    const std::vector<core::CompilerConfig> configs{
-        core::CompilerConfig::baseline(),
-        core::CompilerConfig::atomicAggressiveInline()};
-    bool warm = false;
-    for (const wl::Workload &w : wl::dacapoSuite()) {
-        const vm::Program profile_prog = w.build(true);
-        const vm::Program measure_prog = w.build(false);
-        vm::Profile profile(profile_prog);
-        vm::Interpreter(profile_prog, &profile).run();
-        if (!warm) {
-            // The first compiles of a process also allocate the pass
-            // timers' and telemetry registry's one-time state.
-            for (const core::CompilerConfig &cc : configs)
-                core::compileProgram(measure_prog, profile, cc);
-            warm = true;
-        }
-        for (const core::CompilerConfig &cc : configs) {
-            // Several live copies average out the free chunks the
-            // allocator's per-thread cache still counts as in use.
-            constexpr int kCopies = 4;
-            std::vector<core::Compiled> kept;
-            kept.reserve(kCopies);
-            const size_t before = heapInUse();
-            for (int i = 0; i < kCopies; ++i)
-                kept.push_back(
-                    core::compileProgram(measure_prog, profile, cc));
-            const double measured =
-                static_cast<double>(heapInUse() - before) / kCopies;
-            const double ratio =
-                static_cast<double>(svc::estimateCodeBytes(kept.front())) /
-                measured;
-            EXPECT_LE(ratio, kFactor) << w.name << " " << cc.name;
-            EXPECT_GE(ratio, 1 / kFactor) << w.name << " " << cc.name;
-        }
-    }
 }
 
 } // namespace

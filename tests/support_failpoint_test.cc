@@ -58,11 +58,19 @@ TEST_F(FailpointTest, ParseRejectsMalformed)
     EXPECT_FALSE(fp::parseSpec("x3", &spec, &err));
     EXPECT_FALSE(fp::parseSpec("p1.5", &spec, &err));
     EXPECT_FALSE(fp::parseSpec("p-0.1", &spec, &err));
+    EXPECT_FALSE(fp::parseSpec("pnan", &spec, &err));
+    EXPECT_FALSE(fp::parseSpec("p+0.5", &spec, &err));
+    EXPECT_FALSE(fp::parseSpec("p 0.5", &spec, &err));
     EXPECT_FALSE(fp::parseSpec("n0", &spec, &err));
     EXPECT_FALSE(fp::parseSpec("nabc", &spec, &err));
+    // A sign is not a whole number: "-5" must not wrap to a hit index
+    // no run reaches.
+    EXPECT_FALSE(fp::parseSpec("n-5", &spec, &err));
     EXPECT_FALSE(fp::parseSpec("once0", &spec, &err));
+    EXPECT_FALSE(fp::parseSpec("once-1", &spec, &err));
     EXPECT_FALSE(fp::parseSpec("n3=", &spec, &err));
     EXPECT_FALSE(fp::parseSpec("n3=xyz", &spec, &err));
+    EXPECT_FALSE(fp::parseSpec("n3= 4", &spec, &err));
     EXPECT_FALSE(err.empty());
 }
 
@@ -272,16 +280,18 @@ TEST_F(FailpointTest, DescribeRoundTrips)
 {
     auto &reg = fp::Registry::global();
     std::string err;
-    ASSERT_EQ(
-        reg.configure("machine.assert:n2,machine.capacity:once3=9", &err),
-        2)
-        << err;
+    const std::string spec = "machine.assert:n2,machine.capacity:once3=9,"
+                             "machine.interrupt:p0.123456789";
+    ASSERT_EQ(reg.configure(spec, &err), 3) << err;
     const std::string desc = reg.describe();
-    EXPECT_EQ(desc, "machine.assert:n2,machine.capacity:once3=9");
+    EXPECT_EQ(desc, spec);
 
+    // Re-arming from the description arms the same probability.
     reg.disarmAll();
-    ASSERT_EQ(reg.configure(desc, &err), 2) << err;
+    ASSERT_EQ(reg.configure(desc, &err), 3) << err;
     EXPECT_EQ(reg.describe(), desc);
+    EXPECT_EQ(reg.find("machine.interrupt")->spec().probability,
+              0.123456789);
 }
 
 TEST_F(FailpointTest, DisarmRemovesPoint)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: RNG determinism, statistics
- * containers, and table rendering.
+ * containers, table rendering, and whole-number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "support/random.hh"
 #include "support/statistics.hh"
 #include "support/table.hh"
+#include "support/whole_number.hh"
 
 namespace {
 
@@ -180,6 +181,16 @@ TEST(Logging, AssertPassesAndFails)
 {
     EXPECT_NO_THROW(AREGION_ASSERT(1 + 1 == 2, "fine"));
     EXPECT_THROW(AREGION_ASSERT(false, "nope"), std::logic_error);
+}
+
+TEST(WholeNumber, AcceptsDecimalDigitsOnly)
+{
+    EXPECT_EQ(wholeNumber("0"), 0u);
+    EXPECT_EQ(wholeNumber("010"), 10u);
+    EXPECT_EQ(wholeNumber("18446744073709551615"), UINT64_MAX);
+    for (const char *bad : {"", "-5", "+5", " 5", "5 ", "0x10", "1e3",
+                            "abc", "18446744073709551616"})
+        EXPECT_EQ(wholeNumber(bad), std::nullopt) << "'" << bad << "'";
 }
 
 } // namespace

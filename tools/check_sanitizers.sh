@@ -49,17 +49,17 @@ UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
     ctest --test-dir "$build" --output-on-failure \
           -j "$(nproc 2>/dev/null || echo 4)" -R 'Ir|Opt'
 
-# Bisimulation-oracle + leakage-observer leg (docs/RESILIENCE.md),
-# run explicitly for the same reason as the smoke above: a filtered
-# invocation must still exercise the abort-replay machinery (every
-# replay walks raw heap words through the copy-on-write HeapView)
-# and the leak observer's footprint bookkeeping under the sanitizers.
+# Bisimulation-oracle leg (docs/RESILIENCE.md), run explicitly for
+# the same reason as the smoke above: a filtered invocation must
+# still exercise the abort-replay machinery (every replay walks raw
+# heap words through the copy-on-write HeapView) under the
+# sanitizers.
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
     ctest --test-dir "$build" --output-on-failure \
-          -j "$(nproc 2>/dev/null || echo 4)" -R 'Bisim|Leak'
+          -j "$(nproc 2>/dev/null || echo 4)" -R 'Bisim'
 
-echo "check_sanitizers: tier-1 suite + fuzz smoke + bisim/leak clean under ASan+UBSan"
+echo "check_sanitizers: tier-1 suite + fuzz smoke + bisim clean under ASan+UBSan"
 
 if [ "${AREGION_SKIP_TSAN:-0}" = "1" ]; then
     echo "check_sanitizers: TSan leg skipped (AREGION_SKIP_TSAN=1)"
@@ -71,9 +71,9 @@ fi
 # torture suite (grid cells run on parallel::runGrid host workers at
 # 2/4/8 hardware contexts, hammering the process-global failpoint
 # and telemetry registries), the differential fuzz smoke, and the
-# bisimulation-oracle / leakage-observer suites (the bisim replayer
-# reads the shared heap while other contexts' state sits in the same
-# Machine) — the paths where host-thread races can live. The Ir|Opt
+# bisimulation-oracle suites (the bisim replayer reads the shared
+# heap while other contexts' state sits in the same Machine) — the
+# paths where host-thread races can live. The Ir|Opt
 # leg rides along: compiles run concurrently on grid cells, so the
 # SSA passes' shared telemetry writes belong under TSan too. So does
 # the experiment-store suite (StoreTest.*): grid workers look up,
@@ -85,6 +85,6 @@ cmake --build "$build_tsan" -j "$(nproc 2>/dev/null || echo 4)"
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$build_tsan" --output-on-failure \
           -j "$(nproc 2>/dev/null || echo 4)" \
-          -R 'Contention|Store|fuzz-smoke|Bisim|Leak|Ir|Opt'
+          -R 'Contention|Store|fuzz-smoke|Bisim|Ir|Opt'
 
-echo "check_sanitizers: contention + store + ir/opt + bisim/leak suites + fuzz smoke clean under TSan"
+echo "check_sanitizers: contention + store + ir/opt + bisim suites + fuzz smoke clean under TSan"

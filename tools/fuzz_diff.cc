@@ -14,16 +14,17 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "support/parallel.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
+#include "support/whole_number.hh"
 #include "testing/corpus.hh"
 #include "testing/diff_harness.hh"
 #include "testing/minimizer.hh"
@@ -80,16 +81,30 @@ parseArgs(int argc, char **argv, Args &args)
             }
             return argv[++i];
         };
+        // A whole number for `flag`; `positive` also rejects 0.
+        auto number = [&](const char *flag, bool positive,
+                          uint64_t &out) {
+            const char *v = need(flag);
+            if (!v)
+                return false;
+            const std::optional<uint64_t> n = wholeNumber(v);
+            if (!n || (positive && *n == 0)) {
+                std::fprintf(stderr,
+                             "fuzz_diff: %s wants a %s number, not '%s'\n",
+                             flag, positive ? "positive whole" : "whole",
+                             v);
+                usage();
+                return false;
+            }
+            out = *n;
+            return true;
+        };
         if (arg == "--seeds") {
-            const char *v = need("--seeds");
-            if (!v)
+            if (!number("--seeds", true, args.seeds))
                 return false;
-            args.seeds = strtoull(v, nullptr, 0);
         } else if (arg == "--start") {
-            const char *v = need("--start");
-            if (!v)
+            if (!number("--start", false, args.start))
                 return false;
-            args.start = strtoull(v, nullptr, 0);
         } else if (arg == "--masks") {
             const char *v = need("--masks");
             if (!v)

@@ -54,9 +54,8 @@ const std::set<std::string> kFamilies = {
 
 /// Failpoint names (failpoint::kNames) share the dotted notation
 /// with telemetry keys but are not telemetry; docs may cite them.
-/// `oracle.inject.divergence` and `machine.inject.leak` are *both* —
-/// failpoint name and the telemetry key counting its firings — so
-/// they resolve either way.
+/// `oracle.inject.divergence` is *both* — failpoint name and the
+/// telemetry key counting its firings — so it resolves either way.
 const std::set<std::string> kFailpoints(
     std::begin(aregion::failpoint::kNames),
     std::end(aregion::failpoint::kNames));
