@@ -1,5 +1,8 @@
 #include "core/compiler.hh"
 
+#include <utility>
+#include <vector>
+
 #include "core/lock_elision.hh"
 #include "core/safepoint_elision.hh"
 #include "core/postdom_check_elim.hh"
@@ -46,9 +49,93 @@ CompilerConfig::atomicAggressiveInline()
     return config;
 }
 
+const char *
+stageName(Stage stage)
+{
+    static constexpr const char *kNames[] = {
+        "translate", "inline+scalar", "unroll",  "regions",
+        "sle",       "region-scalar", "postdom",
+    };
+    return kNames[static_cast<int>(stage)];
+}
+
+namespace {
+
+/** The atomic stages. After inlining the functions are independent,
+ *  so each stage runs across the module before the next begins, and
+ *  the scalar pipeline revisits only the functions a stage changed:
+ *  a region-less function is still at the fixpoint optimizeModule
+ *  left it at. */
+void
+runRegionStages(ir::Module &mod, CompileStats &stats,
+                const CompilerConfig &config,
+                const opt::OptContext &ctx,
+                const std::function<void(Stage)> &done)
+{
+    // Region candidates, each with whether a stage changed it.
+    std::vector<std::pair<ir::Function *, bool>> funcs;
+    for (auto &[mid, func] : mod.funcs) {
+        if (config.region.blacklistMethods.count(mid)) {
+            // Abort-storm resilience condemned this method: compile
+            // it non-speculative (no regions, no region-dependent
+            // passes) but still give the scalar pipeline its normal
+            // pass.
+            stats.funcsBlacklisted++;
+            opt::runScalarPipeline(func, ctx);
+            continue;
+        }
+        const RegionStats rs = formRegions(func, config.region);
+        stats.regions.regionsFormed += rs.regionsFormed;
+        stats.regions.assertsCreated += rs.assertsCreated;
+        stats.regions.blocksReplicated += rs.blocksReplicated;
+        stats.regions.regionExits += rs.regionExits;
+        stats.regions.unrolledRegions += rs.unrolledRegions;
+        if (rs.regionsFormed > 0)
+            stats.funcsWithRegions++;
+        funcs.emplace_back(&func, rs.regionsFormed > 0 ||
+                                      rs.assertsCreated > 0 ||
+                                      rs.blocksReplicated > 0);
+    }
+    done(Stage::Regions);
+
+    if (config.sle) {
+        for (auto &[func, changed] : funcs) {
+            const int elided = elideLocks(*func).pairsElided;
+            stats.slePairsElided += elided;
+            changed |= elided > 0;
+        }
+        done(Stage::Sle);
+    }
+
+    for (auto &[func, changed] : funcs) {
+        if (config.elideSafepointsInRegions) {
+            const int elided = elideSafepoints(*func);
+            stats.safepointsElided += elided;
+            changed |= elided > 0;
+        }
+        // The payoff: the SAME non-speculative scalar passes now
+        // optimize the isolated hot path.
+        if (changed)
+            opt::runScalarPipeline(*func, ctx);
+    }
+    done(Stage::RegionScalar);
+
+    if (config.postdomCheckElim) {
+        for (auto &[func, changed] : funcs) {
+            const int removed = postdomCheckElim(*func);
+            stats.postdomChecksRemoved += removed;
+            if (removed > 0)
+                opt::runScalarPipeline(*func, ctx);
+        }
+        done(Stage::Postdom);
+    }
+}
+
+} // namespace
+
 Compiled
 compileProgram(const vm::Program &prog, const vm::Profile &profile,
-               const CompilerConfig &config)
+               const CompilerConfig &config, const StageObserver &observe)
 {
     // The aggregate compile-time counter lives here, not in the
     // runtime driver: every entry point (experiment runner, bench
@@ -84,60 +171,18 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
     }
 
     Compiled result;
+    const auto done = [&](Stage stage) {
+        if (observe)
+            observe(stage, result.mod);
+    };
     result.mod = ir::translateProgram(prog, &profile);
-    opt::optimizeModule(result.mod, ctx);
-
-    if (config.atomicRegions) {
-        for (auto &[mid, func] : result.mod.funcs) {
-            if (config.region.blacklistMethods.count(mid)) {
-                // Abort-storm resilience condemned this method:
-                // compile it non-speculative (no regions, no
-                // region-dependent passes) but still give the
-                // scalar pipeline its normal pass.
-                result.stats.funcsBlacklisted++;
-                opt::runScalarPipeline(func, ctx);
-                continue;
-            }
-            const RegionStats rs = formRegions(func, config.region);
-            result.stats.regions.regionsFormed += rs.regionsFormed;
-            result.stats.regions.assertsCreated += rs.assertsCreated;
-            result.stats.regions.blocksReplicated +=
-                rs.blocksReplicated;
-            result.stats.regions.regionExits += rs.regionExits;
-            result.stats.regions.unrolledRegions +=
-                rs.unrolledRegions;
-            if (rs.regionsFormed > 0)
-                result.stats.funcsWithRegions++;
-
-            // Only functions these passes actually changed need
-            // another scalar sweep — a region-less function is still
-            // at the fixpoint optimizeModule left it at.
-            bool needs_cleanup = rs.regionsFormed > 0 ||
-                                 rs.assertsCreated > 0 ||
-                                 rs.blocksReplicated > 0;
-            if (config.sle) {
-                const SleStats sle = elideLocks(func);
-                result.stats.slePairsElided += sle.pairsElided;
-                needs_cleanup |= sle.pairsElided > 0;
-            }
-            if (config.elideSafepointsInRegions) {
-                const int elided = elideSafepoints(func);
-                result.stats.safepointsElided += elided;
-                needs_cleanup |= elided > 0;
-            }
-            // The payoff: the SAME non-speculative scalar passes now
-            // optimize the isolated hot path.
-            if (needs_cleanup)
-                opt::runScalarPipeline(func, ctx);
-
-            if (config.postdomCheckElim) {
-                const int removed = postdomCheckElim(func);
-                result.stats.postdomChecksRemoved += removed;
-                if (removed > 0)
-                    opt::runScalarPipeline(func, ctx);
-            }
-        }
-    }
+    done(Stage::Translate);
+    opt::inlineModule(result.mod, ctx);
+    done(Stage::InlineScalar);
+    opt::unrollModule(result.mod, ctx);
+    done(Stage::Unroll);
+    if (config.atomicRegions)
+        runRegionStages(result.mod, result.stats, config, ctx, done);
 
     for (auto &[mid, func] : result.mod.funcs) {
         ir::verifyOrDie(func);

@@ -13,6 +13,8 @@
 #ifndef AREGION_CORE_COMPILER_HH
 #define AREGION_CORE_COMPILER_HH
 
+#include <functional>
+
 #include "core/region_formation.hh"
 #include "ir/ir.hh"
 #include "opt/pass.hh"
@@ -62,6 +64,8 @@ struct CompileStats
     int funcsWithRegions = 0;
     /** Methods skipped by RegionConfig::blacklistMethods. */
     int funcsBlacklisted = 0;
+
+    bool operator==(const CompileStats &) const = default;
 };
 
 struct Compiled
@@ -70,10 +74,33 @@ struct Compiled
     CompileStats stats;
 };
 
-/** Compile the whole program under the given configuration. */
+/** compileProgram's stages, in run order. Every configuration runs
+ *  the first three; atomic mode adds Regions, Sle (when `sle`),
+ *  RegionScalar and Postdom (when `postdomCheckElim`). */
+enum class Stage
+{
+    Translate,      ///< bytecode -> IR
+    InlineScalar,   ///< inline fixpoint with the scalar pipeline
+    Unroll,         ///< baseline unrolling: the baseline's final module
+    Regions,        ///< atomic region formation
+    Sle,            ///< speculative lock elision
+    RegionScalar,   ///< scalar pipeline over the isolated hot paths
+    Postdom,        ///< post-dominance check elimination
+};
+
+/** "translate", "inline+scalar", "unroll", "regions", "sle",
+ *  "region-scalar" or "postdom". */
+const char *stageName(Stage stage);
+
+/** Sees the whole module after each stage that runs. */
+using StageObserver = std::function<void(Stage, const ir::Module &)>;
+
+/** Compile the whole program under the given configuration; `observe`
+ *  (when set) is called after every stage. */
 Compiled compileProgram(const vm::Program &prog,
                         const vm::Profile &profile,
-                        const CompilerConfig &config);
+                        const CompilerConfig &config,
+                        const StageObserver &observe = {});
 
 } // namespace aregion::core
 

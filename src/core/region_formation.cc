@@ -14,6 +14,12 @@ using namespace aregion::ir;
 
 namespace {
 
+/** Branch bias below which a path is cold (paper: 1%). */
+constexpr double kColdBias = 0.01;
+
+/** Blocks below maxBlockExecCount/100 never seed traces. */
+constexpr double kHotBlockCutoff = 0.01;
+
 bool
 endsWithCall(const Block &blk)
 {
@@ -63,11 +69,11 @@ edgeCount(const Block &blk, size_t si)
 
 /** Is the si-th out-edge of blk cold (paper: bias < 1%)? */
 bool
-isColdEdge(const Block &blk, size_t si, const RegionConfig &config)
+isColdEdge(const Block &blk, size_t si)
 {
     if (blk.execCount <= 0)
         return true;
-    return edgeCount(blk, si) < config.coldBias * blk.execCount;
+    return edgeCount(blk, si) < kColdBias * blk.execCount;
 }
 
 } // namespace
@@ -221,7 +227,7 @@ selectBoundaries(const Function &func, const RegionConfig &config)
             const Block &blk = func.block(b);
             if (endsWithCall(blk) && header.execCount > 0 &&
                 blk.execCount >=
-                    config.coldBias * header.execCount) {
+                    kColdBias * header.execCount) {
                 warm_call = true;
             }
         }
@@ -283,7 +289,7 @@ selectBoundaries(const Function &func, const RegionConfig &config)
     for (int b : by_heat) {
         const Block &blk = func.block(b);
         if (visited.count(b) ||
-            blk.execCount < max_exec * config.hotBlockCutoff ||
+            blk.execCount < max_exec * kHotBlockCutoff ||
             blk.execCount <= 0 || covered_by_loop_region(b)) {
             continue;
         }
@@ -426,7 +432,7 @@ class RegionBuilder
             const Block &blk = func.block(b);
             for (size_t si = 0; si < blk.succs.size(); ++si) {
                 const int s = blk.succs[si];
-                if (hot.count(s) || isColdEdge(blk, si, config))
+                if (hot.count(s) || isColdEdge(blk, si))
                     continue;
                 const Block &sb = func.block(s);
                 if (selected.count(s) || isRegionStopper(sb) ||
@@ -509,7 +515,7 @@ class RegionBuilder
                 external[si] = func.block(s).regionId != rid;
                 if (!external[si])
                     continue;
-                bool c = isColdEdge(orig, si, config);
+                bool c = isColdEdge(orig, si);
                 const Instr &term = orig.terminator();
                 if (c && config.warmOverrides.count(
                         {term.bcMethod, term.bcPc})) {
@@ -609,15 +615,20 @@ publishFormationStats(const RegionStats &stats)
 
 } // namespace
 
+RegionConfig
+RegionConfig::smallBodies()
+{
+    RegionConfig rc;
+    rc.loopPathThreshold = 20;
+    rc.targetSize = 40;
+    rc.minRegionInstrs = 4;
+    return rc;
+}
+
 RegionStats
 formRegions(Function &func, const RegionConfig &config)
 {
     RegionStats stats;
-    if (!config.enabled) {
-        publishFormationStats(stats);
-        return stats;
-    }
-
     const std::set<int> selected = selectBoundaries(func, config);
     if (selected.empty()) {
         publishFormationStats(stats);

@@ -34,20 +34,12 @@ namespace aregion::core {
 /** Tunables; defaults follow the paper (Section 4). */
 struct RegionConfig
 {
-    bool enabled = true;
-
-    /** Branch bias below which a path is cold (paper: 1%). */
-    double coldBias = 0.01;
-
     /** LOOPPATHTHRESHOLD: loops with longer per-entry dynamic paths
      *  get per-iteration regions (paper: 200 HIR ops). */
     double loopPathThreshold = 200;
 
     /** R, the desired region size in Equation 1 (paper: 200). */
     double targetSize = 200;
-
-    /** Blocks below maxBlockExecCount/100 never seed traces. */
-    double hotBlockCutoff = 0.01;
 
     /** Safety bound on blocks replicated per region. */
     int maxRegionBlocks = 64;
@@ -68,6 +60,11 @@ struct RegionConfig
      *  runtime/resilience.hh). */
     std::set<int> blacklistMethods;
 
+    /** Tuning that forms regions around 20–40-op bodies (generated
+     *  fuzz programs, the contention workloads' critical sections);
+     *  the paper's defaults target 200-op traces. */
+    static RegionConfig smallBodies();
+
     bool operator==(const RegionConfig &) const = default;
 };
 
@@ -79,6 +76,8 @@ struct RegionStats
     int blocksReplicated = 0;
     int regionExits = 0;
     int unrolledRegions = 0;
+
+    bool operator==(const RegionStats &) const = default;
 };
 
 /** Algorithm 2, LOOPWEIGHT: sum of blockExecCount * numOps. */

@@ -40,7 +40,6 @@ struct TimingConfig
     RegionImpl regionImpl = RegionImpl::Checkpoint;
 
     /** Memory hierarchy (line = 64B = 8 words). */
-    int lineWords = 8;
     int l1Lines = 512;          ///< 32 KB
     int l1Assoc = 4;
     int l2Lines = 65536;        ///< 4 MB

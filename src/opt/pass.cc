@@ -117,7 +117,7 @@ runScalarPipeline(ir::Function &func, const OptContext &ctx)
 }
 
 void
-optimizeModule(ir::Module &mod, const OptContext &ctx)
+inlineModule(ir::Module &mod, const OptContext &ctx)
 {
     PassTimers &t = PassTimers::get();
     // Inline/devirtualize to a fixpoint, cleaning between sweeps so
@@ -144,6 +144,12 @@ optimizeModule(ir::Module &mod, const OptContext &ctx)
         if (!inlined)
             break;
     }
+}
+
+void
+unrollModule(ir::Module &mod, const OptContext &ctx)
+{
+    PassTimers &t = PassTimers::get();
     for (auto &[mid, func] : mod.funcs) {
         bool unrolled = false;
         {
@@ -155,11 +161,11 @@ optimizeModule(ir::Module &mod, const OptContext &ctx)
     }
 }
 
-std::vector<std::string>
-pipelinePassNames()
+void
+optimizeModule(ir::Module &mod, const OptContext &ctx)
 {
-    return {"ssa-build", "simplify-cfg", "sccp", "gvn", "dce",
-            "ssa-destroy", "inline+devirt", "unroll"};
+    inlineModule(mod, ctx);
+    unrollModule(mod, ctx);
 }
 
 } // namespace aregion::opt

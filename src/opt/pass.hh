@@ -20,7 +20,6 @@
 #ifndef AREGION_OPT_PASS_HH
 #define AREGION_OPT_PASS_HH
 
-#include <string>
 #include <vector>
 
 #include "ir/ir.hh"
@@ -54,8 +53,6 @@ struct OptContext
     int partialInlineLimit = 0;
     /** Baseline loop unrolling (factor 2) body size limit; 0 = off. */
     int unrollBodyLimit = 24;
-    /** Min (back-edge count / entry count) before unrolling pays. */
-    double unrollMinTrip = 4.0;
     /** Scalar pipeline fixpoint bound. */
     int maxScalarIters = 8;
 
@@ -106,12 +103,16 @@ bool unrollLoops(ir::Function &func, const OptContext &ctx);
  *  pass (debug aid; used by the sanitizer presets). */
 bool runScalarPipeline(ir::Function &func, const OptContext &ctx);
 
-/** Whole-module optimization: inline to fixpoint, scalar pipeline,
- *  unrolling, scalar pipeline again. */
-void optimizeModule(ir::Module &mod, const OptContext &ctx);
+/** First half of optimizeModule: inline/devirtualize to a fixpoint,
+ *  running the scalar pipeline between sweeps. */
+void inlineModule(ir::Module &mod, const OptContext &ctx);
 
-/** Names of the passes in pipeline order (introspection/reporting). */
-std::vector<std::string> pipelinePassNames();
+/** Second half of optimizeModule: unroll, then re-clean the
+ *  functions that changed. */
+void unrollModule(ir::Module &mod, const OptContext &ctx);
+
+/** Whole-module optimization: inlineModule, then unrollModule. */
+void optimizeModule(ir::Module &mod, const OptContext &ctx);
 
 } // namespace aregion::opt
 

@@ -20,6 +20,13 @@ namespace aregion::opt {
 
 using namespace aregion::ir;
 
+namespace {
+
+/** Min (back-edge count / entry count) before unrolling pays. */
+constexpr double kMinTrip = 4.0;
+
+} // namespace
+
 bool
 unrollLoops(Function &func, const OptContext &ctx)
 {
@@ -74,7 +81,7 @@ unrollLoops(Function &func, const OptContext &ctx)
             }
         }
         if (entry_flow <= 0 ||
-            header.execCount / entry_flow < ctx.unrollMinTrip) {
+            header.execCount / entry_flow < kMinTrip) {
             continue;
         }
         targets.push_back(li);

@@ -131,11 +131,8 @@ hashCompilerConfig(const core::CompilerConfig &config)
     h.byte(config.forceMonomorphic ? 1 : 0);
 
     const core::RegionConfig &r = config.region;
-    h.byte(r.enabled ? 1 : 0);
-    h.f64(r.coldBias);
     h.f64(r.loopPathThreshold);
     h.f64(r.targetSize);
-    h.f64(r.hotBlockCutoff);
     h.i64(r.maxRegionBlocks);
     h.i64(r.minRegionInstrs);
     h.i64(r.maxUnrollFactor);
@@ -156,18 +153,7 @@ hashCompilerConfig(const core::CompilerConfig &config)
     h.byte(o.assumeMonomorphic ? 1 : 0);
     h.i64(o.partialInlineLimit);
     h.i64(o.unrollBodyLimit);
-    h.f64(o.unrollMinTrip);
     h.i64(o.maxScalarIters);
-    return h.state;
-}
-
-uint64_t
-passFingerprint()
-{
-    Fnv h;
-    h.i64(kPassSchemaVersion);
-    for (const std::string &name : opt::pipelinePassNames())
-        h.str(name);
     return h.state;
 }
 
@@ -179,7 +165,6 @@ cacheKey(const vm::Program &prog, const vm::Profile &profile,
     h.u64(hashProgram(prog));
     h.u64(hashProfile(prog, profile));
     h.u64(hashCompilerConfig(config));
-    h.u64(passFingerprint());
     return h.state;
 }
 

@@ -5,17 +5,14 @@
  *
  * A compile request is keyed by a 64-bit content address:
  *
- *   key = H(bytecode ‖ profile digest ‖ compiler config ‖
- *           pass fingerprint)
+ *   key = H(bytecode ‖ profile digest ‖ compiler config)
  *
  * where H is FNV-1a over a canonical serialization. Two requests
  * with the same key are guaranteed (by compileProgram's determinism)
  * to produce byte-identical IR, so the store can hand the same
- * immutable compile to every caller that asks. The pass fingerprint
- * folds opt::pipelinePassNames() plus a manually bumped schema
- * version into the key, so reordering the pass pipeline or changing
- * a pass's semantics (bump kPassSchemaVersion!) invalidates every
- * stale entry instead of serving wrong code.
+ * immutable compile to every caller that asks. The store lives for
+ * one process, so the key carries no pipeline version: a pass change
+ * takes a rebuild, which starts with an empty store.
  *
  * The header keeps its path and namespace because the benchmark
  * (perfbench/suite.cc) includes it for hashProgram and
@@ -37,12 +34,6 @@ namespace aregion::runtime::service {
 uint64_t hashProgram(const vm::Program &prog);
 uint64_t hashProfile(const vm::Program &prog, const vm::Profile &profile);
 uint64_t hashCompilerConfig(const core::CompilerConfig &config);
-
-/** The pipeline identity folded into every key; bump
- *  kPassSchemaVersion whenever a pass changes behaviour without
- *  changing its name. */
-uint64_t passFingerprint();
-inline constexpr int kPassSchemaVersion = 2;
 
 /** Full content address for a compile request. */
 uint64_t cacheKey(const vm::Program &prog, const vm::Profile &profile,

@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "support/logging.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
+#include "support/whole_number.hh"
 
 namespace aregion::parallel {
 
@@ -21,7 +23,7 @@ namespace {
 // Absurd AREGION_JOBS values (fat-fingered "1000" for "10") would
 // oversubscribe the host into thrashing; cap well above any sane
 // machine but below pathology.
-constexpr long kMaxJobs = 256;
+constexpr size_t kMaxJobs = 256;
 
 size_t
 jobsFromEnv()
@@ -40,27 +42,24 @@ jobsFromEnv()
     if (!env)
         return fallback;
 
-    char *end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0') {
-        warnOnce("AREGION_JOBS='", env,
-                 "' is not a number; using hardware concurrency (",
-                 fallback, ")");
-        return fallback;
-    }
-    if (errno == ERANGE || parsed > kMaxJobs) {
+    // Decimal digits only; a digits-only value too large to read is
+    // absurd, not malformed.
+    const std::string_view text(env);
+    const std::optional<uint64_t> parsed = wholeNumber(text);
+    const bool digits = !text.empty() &&
+        text.find_first_not_of("0123456789") == std::string_view::npos;
+    if (digits && (!parsed || *parsed > kMaxJobs)) {
         warnOnce("AREGION_JOBS='", env, "' is absurd; clamping to ",
                  kMaxJobs);
-        return static_cast<size_t>(kMaxJobs);
+        return kMaxJobs;
     }
-    if (parsed <= 0) {
+    if (!parsed || *parsed == 0) {
         warnOnce("AREGION_JOBS='", env,
-                 "' must be positive; using hardware concurrency (",
-                 fallback, ")");
+                 "' is not a positive whole number; using hardware "
+                 "concurrency (", fallback, ")");
         return fallback;
     }
-    return static_cast<size_t>(parsed);
+    return *parsed;
 }
 
 } // namespace
@@ -88,46 +87,33 @@ runGrid(size_t tasks, const std::function<void(size_t)> &fn)
     const auto start = std::chrono::steady_clock::now();
     const size_t threads = plannedThreads(tasks);
 
+    // Cells are pulled in order; with one thread no thread starts and
+    // the caller runs them all. An exception propagates only after the
+    // remaining cells ran (drain-then-rethrow).
     std::exception_ptr first_error = nullptr;
-
-    if (threads <= 1) {
-        // Inline on the calling thread: no pool, no atomics, and
-        // exceptions propagate only after the remaining cells ran —
-        // the same drain-then-rethrow contract as the pooled path.
-        for (size_t i = 0; i < tasks; ++i) {
+    std::atomic<size_t> next{0};
+    std::mutex error_mu;
+    auto worker = [&]() {
+        for (;;) {
+            const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= tasks)
+                return;
             try {
                 fn(i);
             } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mu);
                 if (!first_error)
                     first_error = std::current_exception();
             }
         }
-    } else {
-        std::atomic<size_t> next{0};
-        std::mutex error_mu;
-        auto worker = [&]() {
-            for (;;) {
-                const size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= tasks)
-                    return;
-                try {
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mu);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                }
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(threads - 1);
-        for (size_t t = 0; t + 1 < threads; ++t)
-            pool.emplace_back(worker);
-        worker();               // the calling thread pulls cells too
-        for (std::thread &t : pool)
-            t.join();
-    }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(threads - 1);
+    for (size_t t = 0; t + 1 < threads; ++t)
+        pool.emplace_back(worker);
+    worker();                   // the calling thread pulls cells too
+    for (std::thread &t : pool)
+        t.join();
 
     const auto wall_us =
         std::chrono::duration_cast<std::chrono::microseconds>(

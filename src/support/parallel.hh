@@ -13,12 +13,12 @@
  *
  * Worker count: min(grid size, jobs()), where jobs() is the
  * AREGION_JOBS environment variable when set, else the host's
- * hardware concurrency. Non-numeric or non-positive AREGION_JOBS
- * values fall back to hardware concurrency, and values above 256 are
- * clamped — both with a once-per-process stderr warning.
- * Single-threaded hosts (or AREGION_JOBS=1) run the cells inline on
- * the calling thread with no pool at all, so results are
- * byte-identical either way.
+ * hardware concurrency. AREGION_JOBS must be decimal digits only: any
+ * other value (a sign, a space, trailing text) or 0 falls back to
+ * hardware concurrency, and values above 256 are clamped — both with
+ * a once-per-process stderr warning. Single-threaded hosts (or
+ * AREGION_JOBS=1) start no thread: the calling thread runs the cells
+ * in order, so results are byte-identical either way.
  */
 
 #ifndef AREGION_SUPPORT_PARALLEL_HH

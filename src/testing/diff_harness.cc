@@ -3,18 +3,13 @@
 #include <sstream>
 
 #include "core/compiler.hh"
-#include "core/lock_elision.hh"
-#include "core/postdom_check_elim.hh"
-#include "core/region_formation.hh"
 #include "hw/bisim.hh"
 #include "hw/codegen.hh"
 #include "hw/machine.hh"
 #include "hw/oracle.hh"
 #include "hw/timing.hh"
 #include "ir/evaluator.hh"
-#include "ir/translate.hh"
 #include "ir/verifier.hh"
-#include "opt/pass.hh"
 #include "vm/interpreter.hh"
 #include "vm/layout.hh"
 
@@ -113,100 +108,6 @@ compareOutcome(DiffReport &report, const std::string &stage,
     }
 }
 
-/** Region tuning that actually forms regions on tiny generated
- *  programs (the paper's defaults target 200-op traces). */
-core::RegionConfig
-smallProgramRegions()
-{
-    core::RegionConfig rc;
-    rc.loopPathThreshold = 20;
-    rc.targetSize = 40;
-    rc.minRegionInstrs = 4;
-    return rc;
-}
-
-opt::OptContext
-atomicOptContext(const vm::Profile &profile)
-{
-    opt::OptContext ctx;
-    ctx.profile = &profile;
-    // Mirror core::compileProgram's atomic configuration so the
-    // harness exercises the same pipeline the experiments compile
-    // with (partial inlining + the polymorphic-callee refusal).
-    ctx.partialInlineLimit = 140;
-    ctx.refusePolymorphicCallees = true;
-    return ctx;
-}
-
-/** Pipeline prefix names, shallow to deep. The harness evaluates
- *  every one of them so a divergence names the first pass stage that
- *  broke equivalence. */
-const char *const kPrefixNames[] = {
-    "translate",     // bytecode -> IR only
-    "inline+scalar", // inline fixpoint with scalar passes
-    "unroll",        // = the baseline compiler's final module
-    "regions",       // atomic region formation
-    "sle",           // speculative lock elision
-    "region-scalar", // scalar pipeline over isolated hot paths
-    "postdom",       // post-dominance check elimination
-};
-constexpr int kNumPrefixes = 7;
-constexpr int kBaselinePrefix = 2;
-constexpr int kAtomicPrefix = 5;
-constexpr int kPostdomPrefix = 6;
-
-/** Rebuild the module at pipeline-prefix `depth`. Modules are not
- *  copyable (blocks are unique_ptrs), but translation and every pass
- *  are deterministic, so rebuilding from bytecode yields the same
- *  module a snapshot would. */
-ir::Module
-buildPrefixModule(const vm::Program &prog, const vm::Profile &profile,
-                  int depth)
-{
-    const opt::OptContext ctx = atomicOptContext(profile);
-    const core::RegionConfig rc = smallProgramRegions();
-
-    ir::Module mod = ir::translateProgram(prog, &profile);
-    if (depth >= 1) {
-        // Inline fixpoint interleaved with scalar passes (the first
-        // half of optimizeModule).
-        for (int round = 0; round < 4; ++round) {
-            const bool inlined = opt::inlineCalls(mod, ctx);
-            for (auto &[mid, func] : mod.funcs)
-                opt::runScalarPipeline(func, ctx);
-            if (!inlined)
-                break;
-        }
-    }
-    if (depth >= 2) {
-        for (auto &[mid, func] : mod.funcs) {
-            if (opt::unrollLoops(func, ctx))
-                opt::runScalarPipeline(func, ctx);
-        }
-    }
-    if (depth >= 3) {
-        for (auto &[mid, func] : mod.funcs)
-            core::formRegions(func, rc);
-    }
-    if (depth >= 4) {
-        for (auto &[mid, func] : mod.funcs)
-            core::elideLocks(func);
-    }
-    if (depth >= 5) {
-        for (auto &[mid, func] : mod.funcs)
-            opt::runScalarPipeline(func, ctx);
-    }
-    if (depth >= 6) {
-        for (auto &[mid, func] : mod.funcs) {
-            if (core::postdomCheckElim(func) > 0)
-                opt::runScalarPipeline(func, ctx);
-        }
-    }
-    for (auto &[mid, func] : mod.funcs)
-        ir::verifyOrDie(func);
-    return mod;
-}
-
 } // namespace
 
 uint64_t
@@ -249,22 +150,27 @@ diffProgram(const vm::Program &prog, bool threaded,
     DiffReport report;
     report.threaded = threaded;
 
-    // --- Reference: the plain bytecode interpreter. ------------------
-    vm::Interpreter ref_interp(prog, nullptr, kHeapWords);
-    Outcome ref;
-    try {
-        const vm::InterpResult r = ref_interp.run(kMaxSteps);
-        ref.completed = r.completed;
-        ref.trap = r.trap;
-    } catch (const vm::Trap &t) {
-        ref.trap = t;
-    }
-    ref.output = ref_interp.output();
-    ref.digest = heapDigest(ref_interp.heap());
-    ref.digestValid = true;
-    report.executorRuns++;
-    report.trapped = ref.trap.has_value();
+    // One bytecode-interpreter run, profiling when `profile` is set.
+    auto interpret = [&](vm::Profile *profile) {
+        vm::Interpreter interp(prog, profile, kHeapWords);
+        Outcome out;
+        try {
+            const vm::InterpResult r = interp.run(kMaxSteps);
+            out.completed = r.completed;
+            out.trap = r.trap;
+        } catch (const vm::Trap &t) {
+            out.trap = t;
+        }
+        out.output = interp.output();
+        out.digest = heapDigest(interp.heap());
+        out.digestValid = true;
+        report.executorRuns++;
+        return out;
+    };
 
+    // --- Reference: the plain bytecode interpreter. ------------------
+    const Outcome ref = interpret(nullptr);
+    report.trapped = ref.trap.has_value();
     if (!ref.completed && !ref.trap) {
         report.skipped = true;
         report.skipReason = "reference interpreter hit step budget";
@@ -273,35 +179,12 @@ diffProgram(const vm::Program &prog, bool threaded,
 
     // --- Profiling interpreter (must not perturb semantics). ---------
     vm::Profile profile(prog);
-    vm::Interpreter prof_interp(prog, &profile, kHeapWords);
-    {
-        Outcome got;
-        try {
-            const vm::InterpResult r =
-                prof_interp.run(kMaxSteps);
-            got.completed = r.completed;
-            got.trap = r.trap;
-        } catch (const vm::Trap &t) {
-            got.trap = t;
-        }
-        got.output = prof_interp.output();
-        got.digest = heapDigest(prof_interp.heap());
-        got.digestValid = true;
-        report.executorRuns++;
-        compareOutcome(report, "interp+profile", ref, got, true);
-    }
+    compareOutcome(report, "interp+profile", ref, interpret(&profile),
+                   true);
 
-    // --- IR evaluator at every pipeline prefix. ----------------------
-    // The evaluator rejects Spawn, so threaded programs only exercise
-    // interpreter vs machine. Allocation order is preserved by every
-    // pass (NewObject/NewArray are side-effecting and never moved or
-    // removed), so heap digests stay comparable at all prefixes.
-    const ir::Module baselineMod =
-        buildPrefixModule(prog, profile, kBaselinePrefix);
-    const ir::Module atomicMod =
-        buildPrefixModule(prog, profile, kAtomicPrefix);
-    const ir::Module postdomMod =
-        buildPrefixModule(prog, profile, kPostdomPrefix);
+    // Shared layout heap: codegen bakes vtable/subtype addresses.
+    vm::Heap layout_heap(prog, kHeapWords);
+    const hw::LayoutInfo layout = hw::LayoutInfo::fromHeap(layout_heap);
 
     auto runEval = [&](const ir::Module &mod, uint64_t force_abort,
                        const std::string &stage) {
@@ -324,45 +207,51 @@ diffProgram(const vm::Program &prog, bool threaded,
         return r;
     };
 
+    // --- The IR evaluator after every compileProgram stage. ----------
+    // Small-body region tuning (the paper's defaults form nothing on
+    // tiny programs) and postdom on, so all seven stages run and a
+    // divergence names the first that broke equivalence. Threaded
+    // programs skip the evaluator (it rejects Spawn). No pass moves or
+    // removes an allocation, so heap digests compare at every stage.
+    // The region-scalar module is the abort-cause reference and runs
+    // on the machine below.
+    core::CompilerConfig config = core::CompilerConfig::atomic();
+    config.region = core::RegionConfig::smallBodies();
+    config.postdomCheckElim = true;
     ir::EvalResult atomic_eval_result;
-    if (!threaded) {
-        for (int depth = 0; depth < kNumPrefixes; ++depth) {
-            const ir::Module mod =
-                (depth == kBaselinePrefix || depth == kAtomicPrefix ||
-                 depth == kPostdomPrefix)
-                    ? ir::Module{}
-                    : buildPrefixModule(prog, profile, depth);
-            const ir::Module &use =
-                depth == kBaselinePrefix ? baselineMod
-                : depth == kAtomicPrefix ? atomicMod
-                : depth == kPostdomPrefix ? postdomMod
-                                          : mod;
-            const ir::EvalResult r = runEval(
-                use, 0, std::string("eval:") + kPrefixNames[depth]);
-            report.prefixesRun++;
-            if (depth == kAtomicPrefix)
-                atomic_eval_result = r;
-        }
-        runEval(atomicMod, kEvalForceAbortPeriod, "eval:forced-abort");
-    }
+    hw::MachineProgram atomic_code;
+    const core::Compiled atomic = core::compileProgram(
+        prog, profile, config,
+        [&](core::Stage stage, const ir::Module &mod) {
+            for (const auto &[mid, func] : mod.funcs)
+                ir::verifyOrDie(func);
+            const bool reference = stage == core::Stage::RegionScalar;
+            if (!threaded) {
+                const ir::EvalResult r = runEval(
+                    mod, 0, std::string("eval:") + core::stageName(stage));
+                report.prefixesRun++;
+                if (reference) {
+                    atomic_eval_result = r;
+                    runEval(mod, kEvalForceAbortPeriod,
+                            "eval:forced-abort");
+                }
+            }
+            if (reference)
+                atomic_code = hw::lowerModule(mod, layout);
+        });
 
     // --- Machine runs. -----------------------------------------------
-    // Shared layout heap: codegen bakes vtable/subtype addresses.
-    vm::Heap layout_heap(prog, kHeapWords);
-    const hw::LayoutInfo layout = hw::LayoutInfo::fromHeap(layout_heap);
-
     struct MachineOutcome
     {
         Outcome out;
         hw::MachineResult res;
     };
 
-    auto runMachine = [&](const ir::Module &mod,
-                          const hw::HwConfig &config,
+    auto runMachine = [&](const hw::MachineProgram &mp,
+                          const hw::HwConfig &geometry,
                           hw::TraceSink *sink, const std::string &stage,
                           bool digest_comparable) {
-        const hw::MachineProgram mp = hw::lowerModule(mod, layout);
-        hw::Machine machine(mp, config, sink, kHeapWords);
+        hw::Machine machine(mp, geometry, sink, kHeapWords);
         hw::RollbackOracle oracle;
         machine.setOracle(&oracle);
         hw::BisimOracle bisim(mp);
@@ -404,19 +293,22 @@ diffProgram(const vm::Program &prog, bool threaded,
 
     const hw::HwConfig defaults;
 
-    // D: baseline (region-free) module — pure codegen/machine check.
-    runMachine(baselineMod, defaults, nullptr, "machine:baseline",
-               true);
+    // D: the baseline compile the figures run (region-free) — pure
+    // codegen/machine check.
+    const core::Compiled baseline = core::compileProgram(
+        prog, profile, core::CompilerConfig::baseline());
+    runMachine(hw::lowerModule(baseline.mod, layout), defaults, nullptr,
+               "machine:baseline", true);
 
-    // A: the atomic module under default geometry.
+    // A: the region-scalar module under default geometry.
     const MachineOutcome runA = runMachine(
-        atomicMod, defaults, nullptr, "machine:atomic", true);
+        atomic_code, defaults, nullptr, "machine:atomic", true);
 
     // B: identical, but with the timing model observing the trace.
     // Timing must be a pure observer: architectural results (and the
     // heap image, leaks included) must match run A *exactly*.
     hw::TimingModel timing(hw::TimingConfig::baseline());
-    const MachineOutcome runB = runMachine(atomicMod, defaults, &timing,
+    const MachineOutcome runB = runMachine(atomic_code, defaults, &timing,
                                            "machine:timing", true);
     if (runB.out.output != runA.out.output ||
         runB.out.digest != runA.out.digest ||
@@ -432,13 +324,14 @@ diffProgram(const vm::Program &prog, bool threaded,
              std::to_string(runA.res.retiredUops)});
     }
 
-    // C: hostile geometry on the deepest module — tiny speculative
+    // C: hostile geometry on the final module — tiny speculative
     // cache and aggressive interrupts force the abort paths.
     hw::HwConfig hostile;
     hostile.l1Lines = 16;
     hostile.l1Assoc = 2;
     hostile.interruptPeriod = 997;
-    runMachine(postdomMod, hostile, nullptr, "machine:hostile", false);
+    runMachine(hw::lowerModule(atomic.mod, layout), hostile, nullptr,
+               "machine:hostile", false);
 
     // --- Telemetry-visible abort causes. -----------------------------
     // Explicit (assert-id) abort counts must agree between the

@@ -3,13 +3,13 @@
  * Three-way differential execution harness.
  *
  * One program is executed by every executor in the stack — the
- * reference bytecode interpreter, the IR evaluator at every
- * pass-pipeline prefix (translation only, after inlining, after the
- * full scalar pipeline, after region formation, after SLE, after the
- * post-region scalar pipeline, and after post-dominance check
- * elimination), and the hardware machine simulator with and without
- * a timing model attached, under default and hostile geometries,
- * with the rollback oracle armed — and every observable is compared:
+ * reference bytecode interpreter, the IR evaluator after every stage
+ * of one core::compileProgram atomic compile (translate,
+ * inline+scalar, unroll, regions, sle, region-scalar, postdom), and
+ * the hardware machine simulator with the rollback oracle armed: the
+ * CompilerConfig::baseline() compile, the region-scalar module with
+ * and without a timing model attached, and the final module under
+ * hostile geometry — and every observable is compared:
  *
  *   - printed output (including the prefix printed before a trap),
  *   - trap kind, trapping method, and bytecode pc,
@@ -54,7 +54,7 @@ struct DiffReport
     bool trapped = false;       ///< the reference run trapped
     bool threaded = false;      ///< program spawns threads
     int executorRuns = 0;       ///< executions performed
-    int prefixesRun = 0;        ///< evaluator pipeline prefixes run
+    int prefixesRun = 0;        ///< compile stages evaluated
 
     bool diverged() const { return !divergences.empty(); }
     std::string summary() const;

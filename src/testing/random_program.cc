@@ -1,9 +1,10 @@
 #include "testing/random_program.hh"
 
 #include <cctype>
-#include <cstdlib>
+#include <optional>
 
 #include "support/logging.hh"
+#include "support/whole_number.hh"
 #include "vm/builder.hh"
 #include "vm/verifier.hh"
 
@@ -110,9 +111,11 @@ parseMask(const std::string &text, uint32_t &mask_out)
         return true;
     }
     if (!text.empty() && (isdigit(text[0]) != 0)) {
-        mask_out = static_cast<uint32_t>(
-            strtoul(text.c_str(), nullptr, 0));
-        return mask_out <= kAllFeatures;
+        const std::optional<uint64_t> n = wholeNumber(text);
+        if (!n || *n > kAllFeatures)
+            return false;
+        mask_out = static_cast<uint32_t>(*n);
+        return true;
     }
     uint32_t mask = 0;
     size_t pos = 0;

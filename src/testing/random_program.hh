@@ -57,7 +57,8 @@ inline constexpr uint32_t kAllFeatures = (1u << 8) - 1;
 std::vector<uint32_t> canonicalMasks();
 
 /** Parse "all", "legacy", a feature name list ("traps+arrays"), or a
- *  hex/decimal literal into a mask; returns false on garbage. */
+ *  decimal number up to kAllFeatures into a mask; returns false on
+ *  garbage. */
 bool parseMask(const std::string &text, uint32_t &mask_out);
 std::string maskName(uint32_t mask);
 

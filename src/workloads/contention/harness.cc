@@ -66,19 +66,6 @@ replayCommand(const std::string &workload, int contexts,
 
 namespace {
 
-/** Region tuning that forms regions around the workloads' short
- *  critical-section loops (the paper's defaults target 200-op
- *  traces; these bodies are 20–40 uops). */
-core::RegionConfig
-contentionRegions()
-{
-    core::RegionConfig rc;
-    rc.loopPathThreshold = 20;
-    rc.targetSize = 40;
-    rc.minRegionInstrs = 4;
-    return rc;
-}
-
 std::string
 outputString(const std::vector<int64_t> &out)
 {
@@ -134,7 +121,7 @@ runContentionCell(const ContentionWorkload &workload,
 
     // Stage 2: compile atomic + SLE with small-program region tuning.
     core::CompilerConfig cc = core::CompilerConfig::atomic();
-    cc.region = contentionRegions();
+    cc.region = core::RegionConfig::smallBodies();
     const core::Compiled compiled =
         core::compileProgram(prog, profile, cc);
 

@@ -154,18 +154,6 @@ TEST(FormationDetail, MaxRegionBlocksBoundsReplication)
     (void)stats;
 }
 
-TEST(FormationDetail, DisabledConfigFormsNothing)
-{
-    const Program prog = addElementProgram(500, 64);
-    Profile profile(prog);
-    ir::Module mod = prepare(prog, profile);
-    ir::Function &f = mod.funcs.at(prog.mainMethod);
-    core::RegionConfig config;
-    config.enabled = false;
-    const auto stats = core::formRegions(f, config);
-    EXPECT_EQ(stats.regionsFormed, 0);
-}
-
 TEST(FormationDetail, SleSkipsUnbalancedMonitors)
 {
     // A region containing an enter without a matching exit must keep

@@ -12,6 +12,7 @@
 #include "core/compiler.hh"
 #include "core/region_formation.hh"
 #include "ir/evaluator.hh"
+#include "ir/printer.hh"
 #include "ir/translate.hh"
 #include "ir/verifier.hh"
 #include "programs.hh"
@@ -518,6 +519,36 @@ TEST(Compiler, ConfigFactoriesMatchPaperNames)
     EXPECT_DOUBLE_EQ(
         core::CompilerConfig::baselineAggressiveInline()
             .inlineMultiplier, 5.0);
+}
+
+TEST(Compiler, ObserverSeesEachStageAndChangesNothing)
+{
+    const Program prog = monitorProgram();
+    Profile profile(prog);
+    core::CompilerConfig atomic = core::CompilerConfig::atomic();
+    atomic.postdomCheckElim = true;
+    const core::Compiled plain = compile(prog, atomic, profile);
+    EXPECT_GT(plain.stats.slePairsElided, 0);
+
+    std::string stages;
+    const core::StageObserver observe = [&](core::Stage stage,
+                                            const ir::Module &mod) {
+        stages += std::string(core::stageName(stage)) + " ";
+        EXPECT_FALSE(mod.funcs.empty());
+    };
+    const core::Compiled observed =
+        core::compileProgram(prog, profile, atomic, observe);
+    EXPECT_EQ(stages, "translate inline+scalar unroll regions sle "
+                      "region-scalar postdom ");
+    ASSERT_EQ(observed.mod.funcs.size(), plain.mod.funcs.size());
+    for (const auto &[m, f] : plain.mod.funcs)
+        EXPECT_EQ(ir::toString(observed.mod.funcs.at(m)), ir::toString(f));
+    EXPECT_EQ(observed.stats, plain.stats);
+
+    stages.clear();
+    core::compileProgram(prog, profile, core::CompilerConfig::baseline(),
+                         observe);
+    EXPECT_EQ(stages, "translate inline+scalar unroll ");
 }
 
 } // namespace

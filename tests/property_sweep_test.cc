@@ -58,9 +58,7 @@ TEST_P(SeedSweep, MachineMatchesInterpreter)
         core::CompilerConfig config =
             atomic ? core::CompilerConfig::atomic()
                    : core::CompilerConfig::baseline();
-        config.region.loopPathThreshold = 20;
-        config.region.targetSize = 40;
-        config.region.minRegionInstrs = 4;
+        config.region = core::RegionConfig::smallBodies();
         const auto mp = compileToMachine(prog, config);
         hw::Machine machine(mp, hw::HwConfig{});
         const auto res = machine.run();
@@ -90,9 +88,7 @@ TEST_P(OoSeedSweep, MachineMatchesInterpreter)
         core::CompilerConfig config =
             atomic ? core::CompilerConfig::atomicAggressiveInline()
                    : core::CompilerConfig::baseline();
-        config.region.loopPathThreshold = 20;
-        config.region.targetSize = 40;
-        config.region.minRegionInstrs = 4;
+        config.region = core::RegionConfig::smallBodies();
         const auto mp = compileToMachine(prog, config);
         hw::Machine machine(mp, hw::HwConfig{});
         const auto res = machine.run();

@@ -72,8 +72,10 @@ TEST_F(ParallelTest, JobsEnvTrailingGarbageFallsBack)
         unsetenv("AREGION_JOBS");
         return parallel::plannedThreads(100000);
     }();
-    ScopedJobs jobs("4x");
-    EXPECT_EQ(parallel::plannedThreads(100000), hw);
+    for (const char *value : {"4x", " +2"}) {
+        ScopedJobs jobs(value);
+        EXPECT_EQ(parallel::plannedThreads(100000), hw) << value;
+    }
 }
 
 TEST_F(ParallelTest, JobsEnvAbsurdValueClamps)

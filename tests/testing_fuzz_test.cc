@@ -5,7 +5,7 @@
  * round-trips, minimizer shrinking power, harness agreement on known
  * shapes, and the trap-attribution parity contract — trap kind,
  * originating bytecode method, and pc must be bit-identical across
- * the interpreter, the IR evaluator at every pipeline prefix, and
+ * the interpreter, the IR evaluator after every compile stage, and
  * the machine, even when the fault sits inside an inlined callee.
  */
 
