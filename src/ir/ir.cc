@@ -227,6 +227,42 @@ Instr::toString() const
     return os.str();
 }
 
+Function::Function(const Function &other)
+    : name(other.name), methodId(other.methodId),
+      numArgs(other.numArgs), entry(other.entry),
+      ssaForm(other.ssaForm), regions(other.regions),
+      nextVreg(other.nextVreg)
+{
+    blocksVec.reserve(other.blocksVec.size());
+    for (const auto &blk : other.blocksVec)
+        blocksVec.push_back(std::make_unique<Block>(*blk));
+}
+
+Function &
+Function::operator=(const Function &other)
+{
+    if (this != &other)
+        *this = Function(other);
+    return *this;
+}
+
+bool
+Function::operator==(const Function &other) const
+{
+    if (name != other.name || methodId != other.methodId ||
+        numArgs != other.numArgs || entry != other.entry ||
+        ssaForm != other.ssaForm || regions != other.regions ||
+        nextVreg != other.nextVreg ||
+        blocksVec.size() != other.blocksVec.size()) {
+        return false;
+    }
+    for (size_t i = 0; i < blocksVec.size(); ++i) {
+        if (!(*blocksVec[i] == *other.blocksVec[i]))
+            return false;
+    }
+    return true;
+}
+
 Block &
 Function::newBlock()
 {

@@ -151,6 +151,8 @@ struct Instr
     Vreg s2() const { return srcs.at(2); }
 
     std::string toString() const;
+
+    bool operator==(const Instr &) const = default;
 };
 
 /** A basic block. */
@@ -170,6 +172,8 @@ struct Block
 
     /** Atomic region this block belongs to, or -1. */
     int regionId = -1;
+
+    bool operator==(const Block &) const = default;
 
     const Instr &terminator() const
     {
@@ -193,6 +197,8 @@ struct RegionInfo
     /** Map from abort id to the (method, pc) of the converted cold
      *  branch (for adaptive recompilation diagnostics). */
     std::map<int, std::pair<int, int>> abortOrigins;
+
+    bool operator==(const RegionInfo &) const = default;
 };
 
 /** A function under compilation. */
@@ -211,6 +217,18 @@ class Function
     bool ssaForm = false;
 
     std::vector<RegionInfo> regions;
+
+    Function() = default;
+    /** Deep copy: the copy owns its own blocks. */
+    Function(const Function &other);
+    Function &operator=(const Function &other);
+    Function(Function &&) = default;
+    Function &operator=(Function &&) = default;
+
+    /** Field by field: every block (instructions, successors, edge
+     *  and block counts, region id), regions, entry, vreg count,
+     *  form, name, method and arity. */
+    bool operator==(const Function &other) const;
 
     Block &newBlock();
     Block &block(int id);

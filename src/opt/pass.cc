@@ -1,6 +1,7 @@
 #include "opt/pass.hh"
 
 #include <cstdlib>
+#include <optional>
 
 #include "ir/ssa.hh"
 #include "ir/verifier.hh"
@@ -69,10 +70,19 @@ bool
 timed(std::atomic<uint64_t> &slot, const char *passName,
       bool (*pass)(ir::Function &), ir::Function &func)
 {
+    // runScalarPipeline's exit takes a pass's "no change" to mean the
+    // function is untouched; the verify mode checks that too.
+    std::optional<ir::Function> before;
+    if (verifyBetweenPasses())
+        before = func;
     bool changed;
     {
         telemetry::ScopedTimerUs timer(slot);
         changed = pass(func);
+    }
+    if (before && !changed && !(*before == func)) {
+        AREGION_PANIC(passName, " reported no change but changed ",
+                      func.name);
     }
     checkAfter(passName, func);
     return changed;
@@ -95,17 +105,34 @@ runScalarPipeline(ir::Function &func, const OptContext &ctx)
         checkAfter("ssa-build", func);
     }
 
+    // Cycle the passes until four in a row report no change. Each of
+    // the four has then run on the current function and left it
+    // alone, so any further run would too: the exit is the exact
+    // fixpoint, with no whole round spent confirming it.
+    struct Step
+    {
+        std::atomic<uint64_t> &slot;
+        const char *name;
+        bool (*pass)(ir::Function &);
+    };
+    constexpr int kSteps = 4;
+    const Step steps[kSteps] = {
+        {t.simplifyCfg, "simplify-cfg", simplifyCfg},
+        {t.sccp, "sccp", sccp},
+        {t.gvn, "gvn", gvn},
+        {t.dce, "dce", deadCodeElim},
+    };
     bool changed_any = false;
-    for (int round = 0; round < ctx.maxScalarIters; ++round) {
-        bool changed = false;
-        changed |= timed(t.simplifyCfg, "simplify-cfg", simplifyCfg,
-                         func);
-        changed |= timed(t.sccp, "sccp", sccp, func);
-        changed |= timed(t.gvn, "gvn", gvn, func);
-        changed |= timed(t.dce, "dce", deadCodeElim, func);
-        changed_any |= changed;
-        if (!changed)
-            break;
+    int unchanged = 0;
+    for (int run = 0;
+         run < ctx.maxScalarIters * kSteps && unchanged < kSteps; ++run) {
+        const Step &step = steps[run % kSteps];
+        if (timed(step.slot, step.name, step.pass, func)) {
+            changed_any = true;
+            unchanged = 0;
+        } else {
+            ++unchanged;
+        }
     }
 
     if (!wasSsa) {

@@ -11,10 +11,11 @@
  * optimizations with zero new pass code.
  *
  * The scalar passes run on SSA form: runScalarPipeline builds SSA,
- * iterates simplify/sccp/gvn/dce to a fixpoint, and lowers back out
- * of SSA before returning, so callers (region formation, translation,
- * machine-code emission) never see phis. The structural passes
- * (inlining, unrolling) operate on conventional form.
+ * cycles simplify/sccp/gvn/dce until four passes in a row report no
+ * change (the fixpoint), and lowers back out of SSA before returning,
+ * so callers (region formation, translation, machine-code emission)
+ * never see phis. The structural passes (inlining, unrolling) operate
+ * on conventional form.
  */
 
 #ifndef AREGION_OPT_PASS_HH
@@ -53,15 +54,17 @@ struct OptContext
     int partialInlineLimit = 0;
     /** Baseline loop unrolling (factor 2) body size limit; 0 = off. */
     int unrollBodyLimit = 24;
-    /** Scalar pipeline fixpoint bound. */
+    /** Scalar pipeline bound, in rounds of its four passes:
+     *  runScalarPipeline runs at most maxScalarIters x 4 passes. */
     int maxScalarIters = 8;
 
     bool operator==(const OptContext &) const = default;
 };
 
-/** CFG cleanup: thread trivial jumps, merge straight-line pairs,
- *  collapse same-target branches, drop unreachable blocks. Phi-aware;
- *  runs on SSA and conventional form alike. */
+/** CFG cleanup: thread trivial jumps, merge straight-line chains
+ *  (one walk folds a whole chain), collapse same-target branches,
+ *  drop unreachable blocks. Phi-aware; runs on SSA and conventional
+ *  form alike. Returns false only if the function is untouched. */
 bool simplifyCfg(ir::Function &func);
 
 /** Sparse conditional constant propagation (SSA only): constant and
@@ -97,10 +100,13 @@ bool inlineCalls(ir::Module &mod, const OptContext &ctx,
  *  conventional (non-SSA) form. */
 bool unrollLoops(ir::Function &func, const OptContext &ctx);
 
-/** Build SSA, run the scalar passes (simplify/sccp/gvn/dce) to a
- *  fixpoint, lower out of SSA; returns true if anything changed.
- *  Set AREGION_VERIFY_PASSES=1 to verify the function between every
- *  pass (debug aid; used by the sanitizer presets). */
+/** Build SSA, cycle the scalar passes (simplify/sccp/gvn/dce) until
+ *  four in a row report no change or maxScalarIters x 4 have run,
+ *  lower out of SSA; returns true if anything changed. A pass that
+ *  returns false must leave the function untouched, so four in a row
+ *  is the exact fixpoint. Set AREGION_VERIFY_PASSES=1 to verify the
+ *  function between every pass and check that premise (debug aid;
+ *  used by the sanitizer presets). */
 bool runScalarPipeline(ir::Function &func, const OptContext &ctx);
 
 /** First half of optimizeModule: inline/devirtualize to a fixpoint,

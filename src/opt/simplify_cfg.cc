@@ -1,7 +1,14 @@
 /**
  * @file
  * CFG cleanup: collapse same-target branches, thread trivial jumps,
- * merge straight-line pairs, drop unreachable blocks.
+ * merge straight-line chains, drop unreachable blocks.
+ *
+ * A sweep walks the reverse postorder three times (collapse, thread,
+ * merge); sweeps repeat until one changes nothing. The merge walk
+ * keeps its predecessor lists exact: merging s into b renames s to b
+ * in the lists of s's successors and tests b again, so a chain of
+ * any length folds into its head in one walk. A handful of sweeps
+ * reach the fixpoint, and the 64-sweep bound is an assertion.
  *
  * The pass runs both before SSA construction (on translate output)
  * and inside the SSA pipeline, so every edge edit keeps phi inputs
@@ -15,6 +22,8 @@
 
 #include "opt/pass.hh"
 
+#include <algorithm>
+
 #include "ir/cfg.hh"
 
 namespace aregion::opt {
@@ -22,6 +31,8 @@ namespace aregion::opt {
 using namespace aregion::ir;
 
 namespace {
+
+constexpr int kMaxSweeps = 64;
 
 bool
 isRegionEntry(const Block &blk)
@@ -154,6 +165,83 @@ renamePhiPred(Block &blk, int from, int to)
     }
 }
 
+/** The block `b` can absorb, or -1: its only successor, reached by a
+ *  jump, whose only predecessor is `b`. Region boundaries, calls
+ *  (which end blocks), synchronized epilogues and region alt blocks
+ *  stay separate. */
+int
+mergeableSucc(const Function &func, int b,
+              const std::vector<std::vector<int>> &preds)
+{
+    const Block &blk = func.block(b);
+    if (blk.succs.size() != 1 || blk.terminator().op != Op::Jump)
+        return -1;
+    const int s = blk.succs[0];
+    if (s == b || s == func.entry)
+        return -1;
+    const Block &next = func.block(s);
+    if (preds[static_cast<size_t>(s)].size() != 1)
+        return -1;
+    if (isRegionEntry(blk) || isRegionEntry(next))
+        return -1;
+    if (blk.regionId != next.regionId)
+        return -1;
+    if (endsWithCall(blk))
+        return -1;
+    // Keep synchronized-method epilogues (MonitorExit blocks)
+    // separate from their Ret blocks: region formation stops at Ret
+    // blocks but must replicate the epilogue so SLE sees balanced
+    // monitor pairs.
+    bool has_monitor_exit = false;
+    for (const Instr &in : blk.instrs)
+        has_monitor_exit |= in.op == Op::MonitorExit;
+    if (has_monitor_exit && next.terminator().op == Op::Ret)
+        return -1;
+    // Don't merge into a region alt block (reached by the abort
+    // exception edge, which preds don't see).
+    for (const RegionInfo &r : func.regions) {
+        if (r.altBlock == s)
+            return -1;
+    }
+    return s;
+}
+
+/** Append s to b (s's only predecessor) and leave s a dead
+ *  tombstone. `preds` stays exact: s's successors now name b. */
+void
+mergeInto(Function &func, int b, int s,
+          std::vector<std::vector<int>> &preds)
+{
+    Block &blk = func.block(b);
+    Block &next = func.block(s);
+    // A single-predecessor block's phis are arity-1; they lower to
+    // plain copies at the merge point.
+    for (Instr &in : next.instrs) {
+        if (in.op != Op::Phi)
+            break;
+        in.op = Op::Mov;
+        in.srcs.resize(1);
+        in.phiBlocks.clear();
+    }
+    blk.instrs.pop_back();      // drop the jump
+    blk.instrs.insert(blk.instrs.end(), next.instrs.begin(),
+                      next.instrs.end());
+    blk.succs = next.succs;
+    blk.succCount = next.succCount;
+    // Successor phis and predecessor lists now see the merged block.
+    for (int t : blk.succs) {
+        renamePhiPred(func.block(t), s, b);
+        std::replace(preds[static_cast<size_t>(t)].begin(),
+                     preds[static_cast<size_t>(t)].end(), s, b);
+    }
+    preds[static_cast<size_t>(s)].clear();
+    next.instrs.clear();
+    next.succs.clear();
+    Instr ret;
+    ret.op = Op::Ret;
+    next.instrs.push_back(std::move(ret)); // dead tombstone
+}
+
 } // namespace
 
 bool
@@ -161,8 +249,12 @@ simplifyCfg(Function &func)
 {
     bool changed_any = false;
     bool changed = true;
-    int guard = 0;
-    while (changed && ++guard < 64) {
+    for (int sweep = 1; changed; ++sweep) {
+        // A sweep's walks do all the work they can see, so a few
+        // sweeps reach the fixpoint; needing 64 is a pass bug.
+        AREGION_ASSERT(sweep <= kMaxSweeps, "simplify-cfg on ",
+                       func.name, " still changing after ",
+                       kMaxSweeps, " sweeps");
         changed = false;
 
         // Collapse branches whose arms agree (one phi slot per
@@ -227,71 +319,15 @@ simplifyCfg(Function &func)
         }
 
         // Merge straight-line pairs b -> s where s has b as its only
-        // predecessor. Region boundaries are kept intact.
-        const auto preds = func.computePreds();
+        // predecessor, all in this one walk: after a merge b is tested
+        // again, so a whole chain folds into its head.
+        auto preds = func.computePreds();
         for (int b : func.reversePostOrder()) {
-            Block &blk = func.block(b);
-            if (blk.succs.size() != 1 ||
-                blk.terminator().op != Op::Jump) {
-                continue;
+            for (int s = mergeableSucc(func, b, preds); s != -1;
+                 s = mergeableSucc(func, b, preds)) {
+                mergeInto(func, b, s, preds);
+                changed = true;
             }
-            const int s = blk.succs[0];
-            if (s == b || s == func.entry)
-                continue;
-            Block &next = func.block(s);
-            if (preds[static_cast<size_t>(s)].size() != 1)
-                continue;
-            if (isRegionEntry(blk) || isRegionEntry(next))
-                continue;
-            if (blk.regionId != next.regionId)
-                continue;
-            if (endsWithCall(blk))
-                continue;
-            // Keep synchronized-method epilogues (MonitorExit blocks)
-            // separate from their Ret blocks: region formation stops
-            // at Ret blocks but must replicate the epilogue so SLE
-            // sees balanced monitor pairs.
-            bool has_monitor_exit = false;
-            for (const Instr &in : blk.instrs)
-                has_monitor_exit |= in.op == Op::MonitorExit;
-            if (has_monitor_exit && next.terminator().op == Op::Ret)
-                continue;
-            // Don't merge into a region alt block (reached by the
-            // abort exception edge, which preds don't see).
-            bool is_alt = false;
-            for (const RegionInfo &r : func.regions)
-                is_alt |= r.altBlock == s;
-            if (is_alt)
-                continue;
-
-            // A single-predecessor block's phis are arity-1; they
-            // lower to plain copies at the merge point.
-            for (size_t i = 0; i < next.instrs.size(); ++i) {
-                Instr &in = next.instrs[i];
-                if (in.op != Op::Phi)
-                    break;
-                in.op = Op::Mov;
-                in.srcs.resize(1);
-                in.phiBlocks.clear();
-            }
-            blk.instrs.pop_back();      // drop the jump
-            blk.instrs.insert(blk.instrs.end(), next.instrs.begin(),
-                              next.instrs.end());
-            blk.succs = next.succs;
-            blk.succCount = next.succCount;
-            // Successor phis now see the merged block as their
-            // predecessor.
-            for (int t : blk.succs)
-                renamePhiPred(func.block(t), s, b);
-            next.instrs.clear();
-            next.succs.clear();
-            {
-                Instr ret;
-                ret.op = Op::Ret;
-                next.instrs.push_back(std::move(ret)); // dead tombstone
-            }
-            changed = true;
-            break;  // preds are stale; restart the sweep
         }
 
         changed_any |= changed;

@@ -110,6 +110,10 @@ parseMask(const std::string &text, uint32_t &mask_out)
         mask_out = kLegacyObjects;
         return true;
     }
+    if (text == "none") {
+        mask_out = 0;
+        return true;
+    }
     if (!text.empty() && (isdigit(text[0]) != 0)) {
         const std::optional<uint64_t> n = wholeNumber(text);
         if (!n || *n > kAllFeatures)

@@ -56,10 +56,12 @@ inline constexpr uint32_t kAllFeatures = (1u << 8) - 1;
 /** The canonical masks the fuzz smoke sweeps (docs/FUZZING.md). */
 std::vector<uint32_t> canonicalMasks();
 
-/** Parse "all", "legacy", a feature name list ("traps+arrays"), or a
- *  decimal number up to kAllFeatures into a mask; returns false on
- *  garbage. */
+/** Parse "all", "legacy", "none" (mask 0), a feature name list
+ *  ("traps+arrays"), or a decimal number up to kAllFeatures into a
+ *  mask; returns false on garbage. */
 bool parseMask(const std::string &text, uint32_t &mask_out);
+/** The feature name list, or "none" for mask 0; parseMask reads it
+ *  back. */
 std::string maskName(uint32_t mask);
 
 /**

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiler.hh"
 #include "ir/evaluator.hh"
 #include "ir/ssa.hh"
 #include "ir/translate.hh"
@@ -101,6 +102,34 @@ TEST(OptSimplifyCfg, MergesStraightLineBlocks)
     opt::simplifyCfg(f);
     EXPECT_LE(f.numBlocks(), before);
     ir::verifyOrDie(f);
+
+    // One call folds a whole chain, however long: 100 blocks of
+    // Const + Jump (the last returns) become one block.
+    ir::Function chain;
+    chain.name = "chain";
+    constexpr int kLength = 100;
+    for (int i = 0; i < kLength; ++i) {
+        ir::Block &blk = chain.newBlock();
+        ir::Instr c;
+        c.op = ir::Op::Const;
+        c.dst = chain.newVreg();
+        c.imm = i;
+        blk.instrs.push_back(c);
+        ir::Instr term;
+        term.op = i + 1 < kLength ? ir::Op::Jump : ir::Op::Ret;
+        blk.instrs.push_back(term);
+        if (i + 1 < kLength)
+            blk.succs = {i + 1};
+    }
+    ir::verifyOrDie(chain);
+    EXPECT_TRUE(opt::simplifyCfg(chain));
+    ir::verifyOrDie(chain);
+    ASSERT_EQ(chain.numBlocks(), 1);
+    const ir::Block &only = chain.block(chain.entry);
+    ASSERT_EQ(only.instrs.size(), static_cast<size_t>(kLength + 1));
+    for (int i = 0; i < kLength; ++i)
+        EXPECT_EQ(only.instrs[static_cast<size_t>(i)].imm, i);
+    EXPECT_EQ(only.terminator().op, ir::Op::Ret);
 }
 
 /**
@@ -619,6 +648,71 @@ TEST(OptProperty, RandomProgramsSurviveFullPipeline)
         ASSERT_TRUE(eres.completed);
         EXPECT_EQ(eval.output(), interp.output());
     }
+}
+
+/**
+ * runScalarPipeline stops once four passes in a row report no
+ * change, which is the fixpoint only if a pass that returns false
+ * leaves the function untouched. Check that premise field by field
+ * on every function of random programs of every canonical mask, at
+ * every compile stage, with the passes run round-robin in SSA form
+ * until a whole round changes nothing.
+ */
+TEST(OptPipeline, PassReportingNoChangeLeavesFunctionUntouched)
+{
+    using Pass = bool (*)(ir::Function &);
+    const std::pair<const char *, Pass> passes[] = {
+        {"simplify-cfg", opt::simplifyCfg},
+        {"sccp", opt::sccp},
+        {"gvn", opt::gvn},
+        {"dce", opt::deadCodeElim},
+    };
+    core::CompilerConfig config = core::CompilerConfig::atomic();
+    config.region = core::RegionConfig::smallBodies();
+    config.postdomCheckElim = true;
+    int unchanged_results = 0;
+    for (uint32_t mask : aregion::testing::canonicalMasks()) {
+        for (uint64_t seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE("mask " + aregion::testing::maskName(mask) +
+                         " seed " + std::to_string(seed));
+            RandomProgramGen gen(seed, mask);
+            const Program prog = renderProgram(gen.generate());
+            Profile profile(prog);
+            Interpreter interp(prog, &profile, 1ull << 22);
+            try {
+                interp.run(1ull << 24);
+            } catch (const vm::Trap &) {
+                // A trapping run still leaves a usable profile.
+            }
+            core::compileProgram(
+                prog, profile, config,
+                [&](core::Stage stage, const ir::Module &mod) {
+                    for (const auto &[mid, original] : mod.funcs) {
+                        ir::Function f = original;
+                        ir::buildSSA(f);
+                        for (int round = 0; round < 8; ++round) {
+                            bool any = false;
+                            for (const auto &[name, pass] : passes) {
+                                const ir::Function before = f;
+                                if (pass(f)) {
+                                    any = true;
+                                    continue;
+                                }
+                                ++unchanged_results;
+                                EXPECT_TRUE(before == f)
+                                    << name << " reported no change "
+                                    << "but changed " << f.name
+                                    << " after stage "
+                                    << core::stageName(stage);
+                            }
+                            if (!any)
+                                break;
+                        }
+                    }
+                });
+        }
+    }
+    EXPECT_GT(unchanged_results, 10000);
 }
 
 } // namespace

@@ -95,6 +95,26 @@ TEST(Corpus, SerializeParseRoundTripsExactly)
     }
 }
 
+TEST(Corpus, EveryMaskNameParsesBack)
+{
+    // A replay command and a corpus `features` line carry maskName;
+    // both are read with parseMask, mask 0 ("none") included.
+    for (uint32_t mask = 0; mask <= kAllFeatures; ++mask) {
+        uint32_t back = ~0u;
+        EXPECT_TRUE(parseMask(maskName(mask), back)) << maskName(mask);
+        EXPECT_EQ(back, mask) << maskName(mask);
+    }
+    RandomProgramGen gen(5, 0);
+    const GenProgram gp = gen.generate();
+    const std::string text = serializeGenProgram(gp);
+    ASSERT_NE(text.find("features none\n"), std::string::npos);
+    GenProgram back;
+    std::string err;
+    ASSERT_TRUE(parseGenProgram(text, back, &err)) << err;
+    EXPECT_EQ(back.features, 0u);
+    EXPECT_EQ(serializeGenProgram(back), text);
+}
+
 TEST(Corpus, ParseRejectsGarbage)
 {
     GenProgram out;

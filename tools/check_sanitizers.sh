@@ -42,7 +42,9 @@ UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
 # the SSA round-trip and the sparse scalar passes: buildSSA/destroySSA
 # splice and free phi instructions aggressively, and the pass
 # verifier (AREGION_VERIFY_PASSES) re-walks the full IR after every
-# stage — prime territory for use-after-free and indexing errors.
+# stage — prime territory for use-after-free and indexing errors —
+# and checks that a pass reporting no change left the function
+# untouched, the premise of the pipeline's exit.
 AREGION_VERIFY_PASSES=1 \
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
