@@ -16,12 +16,18 @@
  *   --workload <name>   run one workload instead of the suite
  *   --contexts <n>      run one contention level (2-32) instead of
  *                       the curve
- *   --seed <n>          governor/injection seed (default 1)
- *   --inject            arm machine.conflict + machine.commit_stall
+ *   --seed <n>          contention governor seed (default 1)
  *
  * A bad flag or value exits 2 with a usage line before any cell runs.
- * The oracle stamps failing cells with exactly these flags, so any
- * reported divergence is a one-line replay.
+ * Fault injection comes from the environment (docs/RESILIENCE.md);
+ * the forced-contention sweep is
+ *
+ *   AREGION_FAILPOINTS='machine.conflict:p0.02,machine.commit_stall:p0.05=64'
+ *   AREGION_FAILPOINT_SEED=1 bench_contention
+ *
+ * The oracle stamps failing cells with these flags, preceded by the
+ * armed failpoint set and seed, so any reported divergence names the
+ * one-line command that reruns its cell.
  */
 
 #include <cstdio>
@@ -38,18 +44,10 @@ namespace {
 
 namespace bench = aregion::bench;
 namespace ct = aregion::workloads::contention;
-namespace failpoint = aregion::failpoint;
-
-/** Forced-contention spec for --inject: rare forced conflicts at
- *  aregion_end plus held-open commits that widen the overlap
- *  windows. Probabilities are deliberately mild — injected cells
- *  must still complete. */
-constexpr const char *kInjectSpec =
-    "machine.conflict:p0.02,machine.commit_stall:p0.05=64";
 
 constexpr const char *kUsage =
     "bench_contention [--workload <name>] [--contexts <2-32>] "
-    "[--seed <n>] [--inject] [--json <path>]";
+    "[--seed <n>] [--json <path>]";
 
 } // namespace
 
@@ -61,7 +59,6 @@ main(int argc, char **argv)
     std::string only_workload;
     int only_contexts = 0;
     uint64_t seed = 1;
-    bool inject = false;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -83,8 +80,6 @@ main(int argc, char **argv)
                                       value + "'",
                                   kUsage);
             seed = *n;
-        } else if (arg == "--inject") {
-            inject = true;
         } else {
             argv[out++] = argv[i];
         }
@@ -106,18 +101,6 @@ main(int argc, char **argv)
                               only_workload + "'",
                           kUsage);
 
-    // Injection is grid-scoped: the registry is process-global, so
-    // arming must finish before any machine starts evaluating.
-    if (inject) {
-        auto &fps = failpoint::Registry::global();
-        fps.setSeed(seed);
-        std::string err;
-        if (fps.configure(kInjectSpec, &err) < 0) {
-            std::fprintf(stderr, "inject spec: %s\n", err.c_str());
-            return 2;
-        }
-    }
-
     std::vector<ct::GridCell> cells;
     for (const int level : levels) {
         for (const ct::ContentionWorkload *w : suite) {
@@ -129,8 +112,6 @@ main(int argc, char **argv)
     }
     const std::vector<ct::CellResult> results =
         ct::runContentionGrid(cells);
-    if (inject)
-        failpoint::Registry::global().disarmAll();
 
     aregion::TextTable table({"workload", "contexts", "entries",
                               "commits", "aborts", "conflicts",

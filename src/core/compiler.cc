@@ -75,15 +75,6 @@ runRegionStages(ir::Module &mod, CompileStats &stats,
     // Region candidates, each with whether a stage changed it.
     std::vector<std::pair<ir::Function *, bool>> funcs;
     for (auto &[mid, func] : mod.funcs) {
-        if (config.region.blacklistMethods.count(mid)) {
-            // Abort-storm resilience condemned this method: compile
-            // it non-speculative (no regions, no region-dependent
-            // passes) but still give the scalar pipeline its normal
-            // pass.
-            stats.funcsBlacklisted++;
-            opt::runScalarPipeline(func, ctx);
-            continue;
-        }
         const RegionStats rs = formRegions(func, config.region);
         stats.regions.regionsFormed += rs.regionsFormed;
         stats.regions.assertsCreated += rs.assertsCreated;

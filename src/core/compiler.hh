@@ -62,8 +62,6 @@ struct CompileStats
     int safepointsElided = 0;
     int totalInstrs = 0;
     int funcsWithRegions = 0;
-    /** Methods skipped by RegionConfig::blacklistMethods. */
-    int funcsBlacklisted = 0;
 
     bool operator==(const CompileStats &) const = default;
 };

@@ -21,15 +21,6 @@ constexpr double kColdBias = 0.01;
 constexpr double kHotBlockCutoff = 0.01;
 
 bool
-endsWithCall(const Block &blk)
-{
-    if (blk.instrs.size() < 2)
-        return false;
-    const Op op = blk.instrs[blk.instrs.size() - 2].op;
-    return op == Op::CallStatic || op == Op::CallVirtual;
-}
-
-bool
 endsWithRet(const Block &blk)
 {
     return !blk.instrs.empty() && blk.terminator().op == Op::Ret;
@@ -57,7 +48,7 @@ hasIrrevocable(const Block &blk)
 bool
 isRegionStopper(const Block &blk)
 {
-    return endsWithCall(blk) || endsWithRet(blk) || hasIrrevocable(blk);
+    return blk.endsWithCall() || endsWithRet(blk) || hasIrrevocable(blk);
 }
 
 /** Edge count from `blk` to successor index si (0 if unknown). */
@@ -225,7 +216,7 @@ selectBoundaries(const Function &func, const RegionConfig &config)
         bool warm_call = false;
         for (int b : loop.blocks) {
             const Block &blk = func.block(b);
-            if (endsWithCall(blk) && header.execCount > 0 &&
+            if (blk.endsWithCall() && header.execCount > 0 &&
                 blk.execCount >=
                     kColdBias * header.execCount) {
                 warm_call = true;
@@ -253,7 +244,7 @@ selectBoundaries(const Function &func, const RegionConfig &config)
         const Block &blk = func.block(b);
         if (isRegionStopper(blk))
             trace_boundaries.insert(b);
-        if (endsWithCall(blk)) {
+        if (blk.endsWithCall()) {
             for (int s : blk.succs)
                 trace_boundaries.insert(s);     // call continuation
         }

@@ -55,11 +55,6 @@ struct RegionConfig
      *  (adaptive recompilation feedback; Section 7). */
     std::set<std::pair<int, int>> warmOverrides;
 
-    /** Methods compiled permanently non-speculative: no regions are
-     *  formed for these ids (abort-storm resilience gave up on them;
-     *  runtime/resilience.hh). */
-    std::set<int> blacklistMethods;
-
     /** Tuning that forms regions around 20–40-op bodies (generated
      *  fuzz programs, the contention workloads' critical sections);
      *  the paper's defaults target 200-op traces. */

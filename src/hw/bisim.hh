@@ -66,7 +66,7 @@ struct BisimConfig
 {
     /** Uop budget per replay; the horizon at which the two replays
      *  are compared if nothing else stops them first. */
-    uint64_t horizonUops = 2048;
+    static constexpr uint64_t horizonUops = 2048;
 
     /** Divergences recorded before further reports are suppressed
      *  (counted, not stored) — one planted bug otherwise floods the

@@ -69,9 +69,9 @@ CacheHierarchy::CacheHierarchy(int l1_lines, int l1_assoc,
 }
 
 int
-CacheHierarchy::accessLatency(uint64_t word_addr, int line_words)
+CacheHierarchy::accessLatency(uint64_t word_addr)
 {
-    const uint64_t line = lineOf(word_addr, line_words);
+    const uint64_t line = word_addr / kLineWords;
     if (l1.access(line))
         return l1Lat;
     // Stream prefetch: a second consecutive miss line pulls the next

@@ -9,12 +9,16 @@
 #ifndef AREGION_HW_CACHE_HH
 #define AREGION_HW_CACHE_HH
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace aregion::hw {
+
+/** Words per cache line (64 B lines of 8-byte words), the one line
+ *  size of the machine's speculative footprint (HwConfig::lineWords)
+ *  and of the timing model's caches. */
+inline constexpr int kLineWords = 8;
 
 /** One cache level (addresses are line numbers). */
 class Cache
@@ -64,25 +68,13 @@ class CacheHierarchy
                    int l2_assoc, int l1_lat, int l2_lat, int mem_lat,
                    bool prefetch);
 
-    /** Latency (cycles) of a data access at the word address.
-     *  line_words must match across calls (it is the config's fixed
-     *  line size; pow2 values use a shift instead of a divide). */
-    int accessLatency(uint64_t word_addr, int line_words);
+    /** Latency (cycles) of a data access at the word address. */
+    int accessLatency(uint64_t word_addr);
 
     uint64_t l1Misses() const { return l1.misses; }
     uint64_t l2Misses() const { return l2.misses; }
 
   private:
-    /** Line number of a word address. */
-    static uint64_t
-    lineOf(uint64_t word_addr, int line_words)
-    {
-        const auto words = static_cast<uint64_t>(line_words);
-        return (words & (words - 1)) == 0
-                   ? word_addr >> std::countr_zero(words)
-                   : word_addr / words;
-    }
-
     Cache l1;
     Cache l2;
     int l1Lat;

@@ -7,6 +7,7 @@
 #include "hw/oracle.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
+#include "support/output.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
 #include "vm/arith.hh"
@@ -61,14 +62,7 @@ abortCauseName(AbortCause cause)
 uint64_t
 MachineResult::outputChecksum() const
 {
-    uint64_t h = 1469598103934665603ULL;
-    for (int64_t v : output) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= static_cast<uint64_t>(v >> (b * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-    return h;
+    return aregion::outputChecksum(output);
 }
 
 Machine::Machine(const MachineProgram &prog, const HwConfig &config_,
@@ -78,10 +72,6 @@ Machine::Machine(const MachineProgram &prog, const HwConfig &config_,
 {
     AREGION_ASSERT(config.maxContexts >= 1,
                    "bad context capacity ", config.maxContexts);
-    lineWordsU = static_cast<uint64_t>(std::max(1, config.lineWords));
-    lineIsPow2 = (lineWordsU & (lineWordsU - 1)) == 0;
-    for (uint64_t w = lineWordsU; w > 1; w >>= 1)
-        ++lineShift;
     AREGION_ASSERT(config.l1Assoc > 0 &&
                    config.l1Lines >= config.l1Assoc,
                    "bad L1 geometry");

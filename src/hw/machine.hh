@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "hw/cache.hh"
 #include "hw/isa.hh"
 #include "hw/spec_state.hh"
 #include "hw/trace.hh"
@@ -76,7 +77,7 @@ struct HwConfig
      *  lines of Table 1 -> 512 lines, 128 sets, 8 words per line). */
     int l1Lines = 512;
     int l1Assoc = 4;
-    int lineWords = 8;
+    static constexpr int lineWords = kLineWords;
 
     /** Executed uops between timer interrupts (machine-wide). */
     uint64_t interruptPeriod = 4'000'000;
@@ -182,6 +183,7 @@ struct MachineResult
     std::vector<int64_t> output;
     std::vector<MarkerHit> markers;
 
+    /** aregion::outputChecksum of the output stream. */
     uint64_t outputChecksum() const;
 };
 
@@ -332,10 +334,10 @@ class Machine
     uint64_t checkRef(Ctx &ctx, int64_t value, const MUop &uop);
     void raiseTrap(Ctx &ctx, vm::TrapKind kind, const MUop &uop);
 
-    uint64_t
-    lineOf(uint64_t addr) const
+    static uint64_t
+    lineOf(uint64_t addr)
     {
-        return lineIsPow2 ? addr >> lineShift : addr / lineWordsU;
+        return addr / HwConfig::lineWords;
     }
 
     uint64_t
@@ -386,9 +388,6 @@ class Machine
     uint64_t interruptCountdown = 0;
 
     /** HwConfig-derived constants, computed once at construction. */
-    bool lineIsPow2 = false;
-    uint32_t lineShift = 0;
-    uint64_t lineWordsU = 8;
     bool setsArePow2 = false;
     uint64_t setMask = 0;
     uint64_t numSetsU = 1;

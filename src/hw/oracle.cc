@@ -95,7 +95,6 @@ RollbackOracle::onSpecRead(int ctx_id, uint64_t addr, int64_t value)
         return;
     }
     snap.readLog.emplace_back(addr, value);
-    ++specReadCount;
 }
 
 void
@@ -122,7 +121,6 @@ RollbackOracle::captureBegin(int ctx_id, size_t num_ctxs,
             snap.heapWords.push_back(heap.load(a));
         }
     }
-    ++captureCount;
 }
 
 void

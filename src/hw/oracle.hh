@@ -130,10 +130,8 @@ class RollbackOracle
     {
         return found;
     }
-    uint64_t captures() const { return captureCount; }
     uint64_t checks() const { return checkCount; }
     uint64_t heapChecks() const { return heapCheckCount; }
-    uint64_t specReads() const { return specReadCount; }
     uint64_t commitChecks() const { return commitCheckCount; }
     uint64_t conflictHeapChecks() const
     {
@@ -171,10 +169,8 @@ class RollbackOracle
     bool replayValid = false;
     uint64_t replaySeed = 0;
     std::string replayCommand;
-    uint64_t captureCount = 0;
     uint64_t checkCount = 0;
     uint64_t heapCheckCount = 0;
-    uint64_t specReadCount = 0;
     uint64_t commitCheckCount = 0;
     uint64_t conflictHeapCheckCount = 0;
 };

@@ -16,9 +16,6 @@ constexpr uint64_t kMulLatency = 3;
 constexpr uint64_t kDivLatency = 20;
 constexpr uint64_t kSerialLatency = 6;      ///< CAS / locked ops
 
-/** Cache line size in words (64 B). */
-constexpr int kLineWords = 8;
-
 } // namespace
 
 TimingConfig
@@ -207,17 +204,16 @@ TimingModel::processUop(const TraceUop &u)
         latency = kDivLatency;
         break;
       case LatClass::Load:
-        latency = static_cast<uint64_t>(
-            caches.accessLatency(u.memAddr, kLineWords));
+        latency = static_cast<uint64_t>(caches.accessLatency(u.memAddr));
         break;
       case LatClass::Serial:
         latency = kSerialLatency;
         if (u.isLoad || u.isStore)
-            caches.accessLatency(u.memAddr, kLineWords);
+            caches.accessLatency(u.memAddr);
         break;
     }
     if (u.isStore && u.lat == LatClass::Store)
-        caches.accessLatency(u.memAddr, kLineWords);
+        caches.accessLatency(u.memAddr);
 
     const uint64_t complete = ready + latency;
     if (complete - ringBase > 0xffffffffull) [[unlikely]]

@@ -33,20 +33,21 @@ struct TimingConfig
     int width = 4;              ///< rename/issue/retire
     int robSize = 128;          ///< instruction window
     int schedWindow = 64;       ///< scheduling window
-    int mispredictPenalty = 20;
+    static constexpr int mispredictPenalty = 20;
 
     /** Atomic-primitive implementation (Figure 9). */
     enum class RegionImpl { Checkpoint, StallBegin, SingleInflight };
     RegionImpl regionImpl = RegionImpl::Checkpoint;
 
-    /** Memory hierarchy (line = 64B = 8 words). */
+    /** Memory hierarchy (line = 64B = 8 words). Only the sizes vary
+     *  (Section 6.3's half machine); Table 1 prints the rest. */
     int l1Lines = 512;          ///< 32 KB
-    int l1Assoc = 4;
+    static constexpr int l1Assoc = 4;
     int l2Lines = 65536;        ///< 4 MB
-    int l2Assoc = 8;
-    int l1Latency = 4;
-    int l2Latency = 20;
-    int memLatency = 400;       ///< 100 ns at 4 GHz
+    static constexpr int l2Assoc = 8;
+    static constexpr int l1Latency = 4;
+    static constexpr int l2Latency = 20;
+    static constexpr int memLatency = 400;     ///< 100 ns at 4 GHz
     bool prefetcher = true;
 
     /**

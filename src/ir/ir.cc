@@ -227,6 +227,33 @@ Instr::toString() const
     return os.str();
 }
 
+bool
+Block::endsWithCall() const
+{
+    if (instrs.size() < 2)
+        return false;
+    const Op op = instrs[instrs.size() - 2].op;
+    return op == Op::CallStatic || op == Op::CallVirtual;
+}
+
+void
+Block::dropPhiSlot(int pred)
+{
+    for (Instr &in : instrs) {
+        if (in.op != Op::Phi)
+            break;
+        for (size_t k = 0; k < in.phiBlocks.size(); ++k) {
+            if (in.phiBlocks[k] == pred) {
+                in.phiBlocks.erase(in.phiBlocks.begin() +
+                                   static_cast<long>(k));
+                in.srcs.erase(in.srcs.begin() +
+                              static_cast<long>(k));
+                break;
+            }
+        }
+    }
+}
+
 Function::Function(const Function &other)
     : name(other.name), methodId(other.methodId),
       numArgs(other.numArgs), entry(other.entry),

@@ -175,6 +175,15 @@ struct Block
 
     bool operator==(const Block &) const = default;
 
+    /** Calls end blocks: a block whose instruction before the
+     *  terminator is a call absorbs no further instructions. Region
+     *  formation relies on it, so simplify-cfg never merges past one. */
+    bool endsWithCall() const;
+
+    /** Remove each phi's slot for the edge from block @p pred (that
+     *  edge was dropped). */
+    void dropPhiSlot(int pred);
+
     const Instr &terminator() const
     {
         AREGION_ASSERT(!instrs.empty(), "empty block ", id);

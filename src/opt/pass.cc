@@ -95,11 +95,11 @@ runScalarPipeline(ir::Function &func, const OptContext &ctx)
 {
     PassTimers &t = PassTimers::get();
 
-    // Structural passes (inlining, unrolling) hand us conventional
-    // form; reruns from the same optimizeModule sweep may already be
-    // in SSA. Either way, leave in the form we were given.
-    const bool wasSsa = func.ssaForm;
-    if (!wasSsa) {
+    // Every caller holds conventional form, which the structural
+    // passes (inlining, unrolling) need between pipeline runs.
+    AREGION_ASSERT(!func.ssaForm,
+                   "runScalarPipeline requires conventional form");
+    {
         telemetry::ScopedTimerUs timer(t.ssa);
         ir::buildSSA(func);
         checkAfter("ssa-build", func);
@@ -135,7 +135,7 @@ runScalarPipeline(ir::Function &func, const OptContext &ctx)
         }
     }
 
-    if (!wasSsa) {
+    {
         telemetry::ScopedTimerUs timer(t.ssa);
         ir::destroySSA(func);
         checkAfter("ssa-destroy", func);

@@ -102,7 +102,8 @@ bool unrollLoops(ir::Function &func, const OptContext &ctx);
 
 /** Build SSA, cycle the scalar passes (simplify/sccp/gvn/dce) until
  *  four in a row report no change or maxScalarIters x 4 have run,
- *  lower out of SSA; returns true if anything changed. A pass that
+ *  lower out of SSA; returns true if anything changed. Requires
+ *  conventional (non-SSA) form. A pass that
  *  returns false must leave the function untouched, so four in a row
  *  is the exact fixpoint. Set AREGION_VERIFY_PASSES=1 to verify the
  *  function between every pass and check that premise (debug aid;

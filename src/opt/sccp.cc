@@ -307,26 +307,6 @@ struct Solver
     }
 };
 
-/** Remove one phi slot for the edge pred -> blk (a constant branch
- *  dropped it). */
-void
-dropPhiSlot(Block &blk, int pred)
-{
-    for (Instr &in : blk.instrs) {
-        if (in.op != Op::Phi)
-            break;
-        for (size_t k = 0; k < in.phiBlocks.size(); ++k) {
-            if (in.phiBlocks[k] == pred) {
-                in.phiBlocks.erase(in.phiBlocks.begin() +
-                                   static_cast<long>(k));
-                in.srcs.erase(in.srcs.begin() +
-                              static_cast<long>(k));
-                break;
-            }
-        }
-    }
-}
-
 /** Forward every use through mov chains, then delete the movs. */
 bool
 forwardCopies(Function &func)
@@ -484,7 +464,7 @@ sccp(Function &func)
                     in.srcs.clear();
                     blk.succs = {target};
                     blk.succCount = {blk.execCount};
-                    dropPhiSlot(func.block(dropped), b);
+                    func.block(dropped).dropPhiSlot(b);
                     changed = true;
                 }
             }

@@ -49,41 +49,10 @@ isTrivialJump(const Block &blk)
            blk.succs.size() == 1 && blk.succs[0] != blk.id;
 }
 
-/** Calls terminate blocks (region formation relies on it): a block
- *  whose penultimate instruction is a call must not absorb more
- *  instructions. */
-bool
-endsWithCall(const Block &blk)
-{
-    if (blk.instrs.size() < 2)
-        return false;
-    const Op op = blk.instrs[blk.instrs.size() - 2].op;
-    return op == Op::CallStatic || op == Op::CallVirtual;
-}
-
 bool
 hasPhis(const Block &blk)
 {
     return !blk.instrs.empty() && blk.instrs.front().op == Op::Phi;
-}
-
-/** Remove one phi slot for the edge pred -> blk. */
-void
-dropPhiSlot(Block &blk, int pred)
-{
-    for (Instr &in : blk.instrs) {
-        if (in.op != Op::Phi)
-            break;
-        for (size_t k = 0; k < in.phiBlocks.size(); ++k) {
-            if (in.phiBlocks[k] == pred) {
-                in.phiBlocks.erase(in.phiBlocks.begin() +
-                                   static_cast<long>(k));
-                in.srcs.erase(in.srcs.begin() +
-                              static_cast<long>(k));
-                break;
-            }
-        }
-    }
 }
 
 /** Phi slots distinguish edges only by predecessor id, so two edges
@@ -186,7 +155,7 @@ mergeableSucc(const Function &func, int b,
         return -1;
     if (blk.regionId != next.regionId)
         return -1;
-    if (endsWithCall(blk))
+    if (blk.endsWithCall())
         return -1;
     // Keep synchronized-method epilogues (MonitorExit blocks)
     // separate from their Ret blocks: region formation stops at Ret
@@ -275,7 +244,7 @@ simplifyCfg(Function &func)
                         ? blk.succCount[0] + blk.succCount[1]
                         : blk.execCount;
                 blk.succCount = {total};
-                dropPhiSlot(func.block(blk.succs[0]), b);
+                func.block(blk.succs[0]).dropPhiSlot(b);
                 changed = true;
             }
         }

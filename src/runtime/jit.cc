@@ -258,42 +258,23 @@ runExperiment(const vm::Program &profile_prog,
     // Stage 3: machine + timing execution.
     MachineRun run = executeCompiled(*compiled, measure_prog, config);
 
-    // Stage 4: recompilation on abort feedback (Section 7). Each round
-    // keeps the controller's new override sites warm; under the
-    // resilience policy it also acts on storms, and a storm with no
-    // new site blacklists its methods (docs/RESILIENCE.md). Every
-    // recompiling round grows one of those two finite sets.
-    const ResiliencePolicy &policy = config.resilience;
-    const int rounds = policy.enabled ? policy.maxRecompiles
-                                      : (config.adaptiveRecompile ? 1 : 0);
-    core::CompilerConfig updated = config.compiler;
-    auto &warm = updated.region.warmOverrides;
-    auto &blacklist = updated.region.blacklistMethods;
+    // Stage 4: recompilation on abort feedback (Section 7), when the
+    // controller finds a new site to keep warm. A region it cannot
+    // repair still makes progress: each abort runs the alternate path.
     bool recompiled = false;
-    for (int round = 0; round < rounds && run.result.completed; ++round) {
-        std::set<std::pair<int, int>> storms;
-        if (policy.enabled) {
-            storms = stormingRegions(run.result, policy, blacklist);
-            registry.add(keys::kResilienceStorms, storms.size());
-        }
-        if (!config.adaptiveRecompile && storms.empty())
-            break;
+    if (config.adaptiveRecompile && run.result.completed) {
         const auto sites = config.controller.computeOverrides(
             compiled->mod, toTelemetry(run.result));
+        core::CompilerConfig updated = config.compiler;
+        auto &warm = updated.region.warmOverrides;
         const size_t known = warm.size();
         warm.insert(sites.begin(), sites.end());
-        if (warm.size() == known) {
-            if (storms.empty())
-                break;
-            for (const auto &storm : storms) {
-                if (blacklist.insert(storm.first).second)
-                    registry.add(keys::kResilienceBlacklisted, 1);
-            }
+        if (warm.size() > known) {
+            compiled = store.compile(measure_prog, *profile, updated);
+            run = executeCompiled(*compiled, measure_prog, config);
+            recompiled = true;
+            registry.add(keys::kJitRecompiles, 1);
         }
-        compiled = store.compile(measure_prog, *profile, updated);
-        run = executeCompiled(*compiled, measure_prog, config);
-        recompiled = true;
-        registry.add(keys::kJitRecompiles, 1);
     }
     // Register the recompile counter even when it stays zero so the
     // exported schema is stable.

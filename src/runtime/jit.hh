@@ -5,10 +5,9 @@
  *   1. first-pass profiling run in the interpreter,
  *   2. profile-driven optimizing compilation (baseline or atomic),
  *   3. machine execution with timing simulation of context 0,
- *   4. optional recompilation on abort feedback (Section 7): the
- *      adaptive controller's warm overrides and, under a
- *      ResiliencePolicy, blacklisting of storming methods; each
- *      recompile re-runs stage 3,
+ *   4. optional recompilation on abort feedback (Section 7): one
+ *      round that recompiles with the adaptive controller's warm
+ *      overrides when it finds a new site, then re-runs stage 3,
  *   5. marker-delimited sample metrics, weighted per phase.
  *
  * Profile and measurement inputs may differ (the profile variant of
@@ -31,10 +30,17 @@
 #include "hw/codegen.hh"
 #include "hw/machine.hh"
 #include "hw/timing.hh"
-#include "runtime/resilience.hh"
 #include "vm/program.hh"
 
 namespace aregion::runtime {
+
+/** Type of ExperimentConfig::resilience, declared at namespace
+ *  scope: GCC 12 rejects a static constexpr member whose type is a
+ *  nested class with a default member initializer. */
+struct ResilienceSwitch
+{
+    bool enabled = false;
+};
 
 /** Everything one experiment run needs. */
 struct ExperimentConfig
@@ -43,19 +49,16 @@ struct ExperimentConfig
     hw::HwConfig hw;
     hw::TimingConfig timing;
 
-    /** Re-compile with warm overrides when a region's abort rate
-     *  exceeds the adaptive controller's threshold, then re-run:
-     *  once, or for up to resilience.maxRecompiles rounds when the
-     *  resilience policy is enabled. */
+    /** Re-compile once with warm overrides when a region's abort
+     *  rate exceeds the adaptive controller's threshold, then
+     *  re-run. */
     bool adaptiveRecompile = false;
     core::AdaptiveController controller;
 
-    /** Abort-storm resilience (runtime/resilience.hh). When enabled,
-     *  the recompilation loop spends up to maxRecompiles recompiles
-     *  and also acts on storming regions: with the controller's
-     *  overrides when it finds new sites, by blacklisting their
-     *  methods when it finds none. Off by default. */
-    ResiliencePolicy resilience;
+    /** Always off. Only perfbench reads it: its staged copy of this
+     *  pipeline rejects a config with it on. The next change to the
+     *  benchmark removes it. */
+    static constexpr ResilienceSwitch resilience{};
 
     /** Field by field: the bench grid shares a cell between two
      *  requests only when their configs compare equal. */

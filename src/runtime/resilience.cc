@@ -2,45 +2,11 @@
 
 #include <algorithm>
 
+#include "support/random.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
 
 namespace aregion::runtime {
-
-std::set<std::pair<int, int>>
-stormingRegions(const hw::MachineResult &res,
-                const ResiliencePolicy &policy,
-                const std::set<int> &blacklisted)
-{
-    std::set<std::pair<int, int>> storms;
-    for (const auto &[key, stats] : res.regions) {
-        if (blacklisted.count(key.first))
-            continue;
-        if (stats.entries < policy.minEntries)
-            continue;
-        const double rate =
-            static_cast<double>(stats.totalAborts()) /
-            static_cast<double>(stats.entries);
-        if (rate >= policy.stormAbortRate)
-            storms.insert(key);
-    }
-    return storms;
-}
-
-namespace {
-
-// splitmix64 finalizer (the codebase's one mixer family; see
-// support/failpoint.cc): stateless (seed, ctx, draw) -> jitter.
-uint64_t
-mix(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 ContentionGovernor::CtxState &
 ContentionGovernor::slot(int ctx_id)
@@ -54,9 +20,9 @@ ContentionGovernor::slot(int ctx_id)
 uint64_t
 ContentionGovernor::onAbort(int ctx_id, hw::AbortCause cause)
 {
-    // Only conflicts are contention; capacity/interrupt/explicit
-    // aborts have their own remediation (the recompilation loop's
-    // storm handling) and must not trip backoff.
+    // Only conflicts are contention; a capacity, interrupt or
+    // explicit abort recurs whatever the other contexts do, so
+    // backing off would only delay its alternate path.
     if (cause != hw::AbortCause::Conflict)
         return 0;
 
@@ -96,9 +62,9 @@ ContentionGovernor::onAbort(int ctx_id, hw::AbortCause cause)
         // Jitter in [0, stall): symmetric contexts with identical
         // streaks must not re-collide in lockstep.
         if (stall > 0) {
-            stall += mix(policy.seed ^
-                         (static_cast<uint64_t>(ctx_id) << 32) ^
-                         cs.abortDraws) %
+            stall += splitmix64(policy.seed ^
+                                (static_cast<uint64_t>(ctx_id) << 32) ^
+                                cs.abortDraws) %
                      stall;
         }
     }

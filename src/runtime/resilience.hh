@@ -1,68 +1,19 @@
 /**
  * @file
- * Abort-storm detection for the recompilation loop, and the
- * contention governor.
- *
- * The paper's Section 7 controller assumes profile drift: a cold
- * edge turned warm, the assert fires, and one recompile with warm
- * overrides repairs the region. Under fault injection (or a genuine
- * environment shift) a region can abort persistently with *no*
- * attributable assert site, and the controller has nothing to
- * override. Under a ResiliencePolicy, runExperiment's recompilation
- * loop (runtime/jit.cc) also acts on such regions:
- *
- *   - storm detection: a region whose abort rate is at least
- *     ResiliencePolicy::stormAbortRate across at least minEntries
- *     entries is storming (stormingRegions);
- *   - blacklisting: when the controller finds no new override site,
- *     the storming regions' methods are compiled permanently
- *     non-speculative (RegionConfig::blacklistMethods), so the
- *     program keeps making progress;
- *   - a budget: the loop spends at most maxRecompiles recompiles.
- *
- * The machine's own livelock guard is HwConfig::maxConsecutiveAborts.
- * Everything is off by default (enabled = false): the benchmarks'
- * figures are byte-identical with the policy left alone. Telemetry
- * lands under `runtime.resilience.*` (docs/TELEMETRY.md).
+ * The contention governor: the software half of surviving genuine
+ * conflict aborts between hardware contexts (docs/RESILIENCE.md).
+ * Telemetry lands under `runtime.resilience.*` (docs/TELEMETRY.md).
  */
 
 #ifndef AREGION_RUNTIME_RESILIENCE_HH
 #define AREGION_RUNTIME_RESILIENCE_HH
 
 #include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "hw/machine.hh"
 
 namespace aregion::runtime {
-
-/** Policy knobs; defaults are conservative and the whole layer is
- *  opt-in. */
-struct ResiliencePolicy
-{
-    bool enabled = false;
-
-    /** Aborts / entries above which a region counts as storming
-     *  (well past the adaptive controller's repair threshold). */
-    double stormAbortRate = 0.5;
-
-    /** Regions with fewer entries carry too little evidence. */
-    uint64_t minEntries = 16;
-
-    /** Recompiles one experiment run may spend. */
-    int maxRecompiles = 3;
-
-    bool operator==(const ResiliencePolicy &) const = default;
-};
-
-/** Regions (methodId, regionId) of @p res that storm under @p policy,
- *  excluding those of the @p blacklisted methods. */
-std::set<std::pair<int, int>>
-stormingRegions(const hw::MachineResult &res,
-                const ResiliencePolicy &policy,
-                const std::set<int> &blacklisted);
 
 /** Knobs for the contention governor (all deterministic). */
 struct ContentionPolicy

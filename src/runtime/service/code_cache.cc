@@ -141,9 +141,6 @@ hashCompilerConfig(const core::CompilerConfig &config)
         h.i64(mid);
         h.i64(pc);
     }
-    h.u64(r.blacklistMethods.size());
-    for (int mid : r.blacklistMethods)
-        h.i64(mid);
 
     const opt::OptContext &o = config.opt;
     h.i64(o.inlineCalleeLimit);

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "support/logging.hh"
+#include "support/random.hh"
 #include "support/whole_number.hh"
 
 namespace aregion::failpoint {
@@ -25,18 +26,6 @@ hashName(const std::string &name)
         h *= 0x100000001b3ULL;
     }
     return h;
-}
-
-// splitmix64 finalizer: stateless mix of (derived seed, hit index)
-// into a uniform 64-bit value. Matching Rng's scramble keeps the
-// whole codebase on one family of mixers.
-uint64_t
-mix(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 } // namespace
@@ -111,7 +100,7 @@ Failpoint::evaluate()
             fired = true;
         } else if (pointSpec.probability > 0.0) {
             const double draw =
-                static_cast<double>(mix(derivedSeed ^ hit) >> 11) *
+                static_cast<double>(splitmix64(derivedSeed ^ hit) >> 11) *
                 (1.0 / 9007199254740992.0);
             fired = draw < pointSpec.probability;
         }
@@ -154,7 +143,7 @@ Registry::global()
 uint64_t
 Registry::deriveSeed(const std::string &name) const
 {
-    return mix(baseSeed ^ hashName(name));
+    return splitmix64(baseSeed ^ hashName(name));
 }
 
 void

@@ -18,6 +18,19 @@
 
 namespace aregion {
 
+/** splitmix64 finalizer: a stateless scramble of @p x into a uniform
+ *  64-bit value. It seeds Rng and draws the failpoint and contention
+ *  governor streams, which recorded results depend on, so it may not
+ *  change. */
+constexpr uint64_t
+splitmix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /**
  * xoshiro-style 64-bit generator (splitmix64-seeded xorshift64*).
  * Small, fast, and deterministic across platforms.
@@ -31,11 +44,8 @@ class Rng
     void
     reseed(uint64_t seed)
     {
-        // splitmix64 scramble so that small seeds diverge immediately.
-        state = seed + 0x9e3779b97f4a7c15ULL;
-        state = (state ^ (state >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        state = (state ^ (state >> 27)) * 0x94d049bb133111ebULL;
-        state ^= state >> 31;
+        // Scrambled so that small seeds diverge immediately.
+        state = splitmix64(seed);
         if (state == 0)
             state = 0x2545f4914f6cdd1dULL;
     }

@@ -113,9 +113,7 @@
     X(kJitPassInlineUs, "jit.pass.inline_us", Counter)                      \
     X(kJitPassUnrollUs, "jit.pass.unroll_us", Counter)                      \
     /* --- runtime.resilience.* (src/runtime/resilience.cc) ------------ */ \
-    /* Abort-storm handling, then the contention governor. */               \
-    X(kResilienceStorms, "runtime.resilience.storms", Counter)              \
-    X(kResilienceBlacklisted, "runtime.resilience.blacklisted", Counter)    \
+    /* The contention governor. */                                          \
     X(kResilienceBackoffSteps, "runtime.resilience.backoff_steps", Counter) \
     X(kResilienceStarvationBoosts,                                          \
       "runtime.resilience.starvation_boosts", Counter)                      \

@@ -10,6 +10,7 @@
 #include "hw/timing.hh"
 #include "ir/evaluator.hh"
 #include "ir/verifier.hh"
+#include "support/output.hh"
 #include "vm/interpreter.hh"
 #include "vm/layout.hh"
 
@@ -52,19 +53,6 @@ trapString(const std::optional<vm::Trap> &trap)
     std::ostringstream os;
     os << vm::trapName(trap->kind) << " m" << trap->method << ":pc"
        << trap->pc;
-    return os.str();
-}
-
-std::string
-outputString(const std::vector<int64_t> &out)
-{
-    std::ostringstream os;
-    os << "[" << out.size() << "]";
-    const size_t show = out.size() < 8 ? out.size() : 8;
-    for (size_t i = 0; i < show; ++i)
-        os << " " << out[i];
-    if (show < out.size())
-        os << " ...";
     return os.str();
 }
 

@@ -100,9 +100,6 @@ class Heap
     uint64_t allocMark() const { return allocPtr; }
     void allocReset(uint64_t mark);
 
-    uint64_t heapBase() const { return heapBaseAddr; }
-    uint64_t allocated() const { return allocPtr; }
-    uint64_t wordsUsed() const { return allocPtr - heapBaseAddr; }
     int maxThreads() const { return numThreads; }
 
   private:

@@ -1,6 +1,7 @@
 #include "vm/interpreter.hh"
 
 #include "support/logging.hh"
+#include "support/output.hh"
 #include "vm/arith.hh"
 
 namespace aregion::vm {
@@ -453,14 +454,7 @@ Interpreter::run(uint64_t max_steps)
 uint64_t
 Interpreter::outputChecksum() const
 {
-    uint64_t h = 1469598103934665603ULL;
-    for (int64_t v : outputStream) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= static_cast<uint64_t>(v >> (b * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-    return h;
+    return aregion::outputChecksum(outputStream);
 }
 
 } // namespace aregion::vm

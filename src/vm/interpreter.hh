@@ -71,7 +71,7 @@ class Interpreter
     const std::vector<MarkerEvent> &markers() const { return markerLog; }
     Heap &heap() { return heapImpl; }
 
-    /** FNV-1a checksum of the output stream (for compact test oracles). */
+    /** aregion::outputChecksum of the output stream. */
     uint64_t outputChecksum() const;
 
     /** Scheduler quantum in instructions (deterministic interleave). */

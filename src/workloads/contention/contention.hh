@@ -62,7 +62,7 @@ struct ContentionRunConfig
 {
     int contexts = 4;               ///< spawned workers (2..32)
     uint64_t seed = 0;              ///< governor jitter / replay id
-    uint64_t heapWords = 1ull << 22;
+    static constexpr uint64_t heapWords = 1ull << 22;
 
     /**
      * Scheduler quantum. A small prime forces context switches in
@@ -70,9 +70,9 @@ struct ContentionRunConfig
      * in time and ownership races actually happen; the default
      * quantum (50) lets short regions serialize accidentally.
      */
-    uint64_t quantum = 13;
+    static constexpr uint64_t quantum = 13;
 
-    uint64_t machineMaxUops = 1ull << 30;
+    static constexpr uint64_t machineMaxUops = 1ull << 30;
 
     /** The ContentionGovernor's backoff/fairness/livelock policy
      *  (the governor and the rollback oracle are always attached). */
@@ -121,8 +121,9 @@ struct CellResult
  * Run one cell: profile, compile (atomic + SLE), and execute the
  * workload on `contexts + 1` hardware contexts with the oracle and
  * governor attached, then differentially compare the output against
- * the reference interpreter. Does not touch the failpoint registry:
- * whatever is armed process-wide (e.g. machine.conflict) applies.
+ * the reference interpreter. Does not arm failpoints: whatever is
+ * armed process-wide (e.g. machine.conflict) applies, and the cell's
+ * replay command names it.
  */
 CellResult runContentionCell(const ContentionWorkload &workload,
                              const ContentionRunConfig &cfg);
@@ -145,7 +146,10 @@ std::vector<CellResult> runContentionGrid(
     const std::vector<GridCell> &cells);
 
 /** The canonical one-line replay command for a cell (what the
- *  oracle stamps into its failure messages). */
+ *  oracle stamps into its failure messages). When @p injected, it
+ *  starts with the armed failpoint set and seed as the
+ *  AREGION_FAILPOINTS and AREGION_FAILPOINT_SEED assignments, so the
+ *  replay runs under the same injection. */
 std::string replayCommand(const std::string &workload, int contexts,
                           uint64_t seed, bool injected);
 

@@ -21,7 +21,9 @@
 #include "hw/machine.hh"
 #include "hw/bisim.hh"
 #include "hw/oracle.hh"
+#include "support/failpoint.hh"
 #include "support/logging.hh"
+#include "support/output.hh"
 #include "support/parallel.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
@@ -57,29 +59,15 @@ replayCommand(const std::string &workload, int contexts,
               uint64_t seed, bool injected)
 {
     std::ostringstream os;
+    if (injected) {
+        const failpoint::Registry &fps = failpoint::Registry::global();
+        os << "AREGION_FAILPOINTS='" << fps.describe()
+           << "' AREGION_FAILPOINT_SEED=" << fps.seed() << " ";
+    }
     os << "bench_contention --workload " << workload << " --contexts "
        << contexts << " --seed " << seed;
-    if (injected)
-        os << " --inject";
     return os.str();
 }
-
-namespace {
-
-std::string
-outputString(const std::vector<int64_t> &out)
-{
-    std::ostringstream os;
-    os << "[" << out.size() << "]";
-    const size_t show = out.size() < 8 ? out.size() : 8;
-    for (size_t i = 0; i < show; ++i)
-        os << " " << out[i];
-    if (show < out.size())
-        os << " ...";
-    return os.str();
-}
-
-} // namespace
 
 CellResult
 runContentionCell(const ContentionWorkload &workload,
@@ -92,8 +80,9 @@ runContentionCell(const ContentionWorkload &workload,
 
     // Spawned workers + the coordinating main context.
     const int hw_ctxs = cfg.contexts + 1;
-    const std::string replay = replayCommand(
-        workload.name, cfg.contexts, cfg.seed, /*injected=*/false);
+    const std::string replay =
+        replayCommand(workload.name, cfg.contexts, cfg.seed,
+                      failpoint::Registry::global().anyArmed());
     auto problem = [&](const std::string &what) {
         std::ostringstream os;
         os << what << " [workload=" << workload.name

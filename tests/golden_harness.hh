@@ -47,15 +47,6 @@ goldenMix(uint64_t h, uint64_t v)
     return h;
 }
 
-inline uint64_t
-goldenChecksum(const std::vector<int64_t> &output)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (int64_t v : output)
-        h = goldenMix(h, static_cast<uint64_t>(v));
-    return h;
-}
-
 /** Profile on the profiling input, compile the measurement input
  *  with atomic+aggressive-inline, run the functional machine, and
  *  run the interpreter on the same input for cross-validation. */
@@ -100,7 +91,7 @@ runGoldenPipeline(const workloads::Workload &w)
 
     vm::Interpreter interp(measure_prog);
     interp.run();
-    row.interpChecksum = goldenChecksum(interp.output());
+    row.interpChecksum = interp.outputChecksum();
     return row;
 }
 

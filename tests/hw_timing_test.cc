@@ -83,8 +83,8 @@ TEST(Cache, LruEvictsWithinSet)
 TEST(CacheHierarchy, LatencyOrdering)
 {
     hw::CacheHierarchy h(64, 4, 1024, 8, 4, 20, 400, false);
-    const int miss = h.accessLatency(0x5000, 8);
-    const int hit = h.accessLatency(0x5000, 8);
+    const int miss = h.accessLatency(0x5000);
+    const int hit = h.accessLatency(0x5000);
     EXPECT_EQ(miss, 400);
     EXPECT_EQ(hit, 4);
 }

@@ -283,9 +283,6 @@ TEST(StoreTest, ConfigsDifferingInOneFieldNeverShareAnEntry)
     vary("warmOverrides", [&](core::CompilerConfig &cc) {
         cc.region.warmOverrides.insert({prog.mainMethod, 0});
     });
-    vary("blacklistMethods", [&](core::CompilerConfig &cc) {
-        cc.region.blacklistMethods.insert(prog.mainMethod);
-    });
     vary("targetSize", [](core::CompilerConfig &cc) {
         cc.region.targetSize *= 2;
     });

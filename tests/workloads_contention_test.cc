@@ -405,6 +405,9 @@ TEST_F(ContentionBisimTest, DisabledBisimIsInertAndUncounted)
 
 class ContentionOracleTest : public ::testing::Test
 {
+  protected:
+    void SetUp() override { fp::Registry::global().disarmAll(); }
+    void TearDown() override { fp::Registry::global().disarmAll(); }
 };
 
 /**
@@ -436,6 +439,30 @@ TEST_F(ContentionOracleTest, DivergenceMessagesCarryReplayCommand)
                         "counters --contexts 4 --seed 7"),
               std::string::npos)
         << what;
+}
+
+/** Under injection a cell's replay command re-arms what was armed:
+ *  the planted rollback bug's first report leads its replay line
+ *  with the armed failpoint set and seed. */
+TEST_F(ContentionOracleTest, InjectedCellReplayCarriesArmedFailpoints)
+{
+    auto &fps = fp::Registry::global();
+    fps.setSeed(5);
+    ASSERT_EQ(fps.configure("oracle.inject.divergence:p1"), 1);
+    ct::ContentionRunConfig cfg;
+    cfg.contexts = 2;
+    cfg.seed = 3;
+    const ct::CellResult r =
+        ct::runContentionCell(ct::contentionWorkloadByName("counters"), cfg);
+    fps.disarmAll();
+
+    ASSERT_FALSE(r.problems.empty()) << "the planted bug went unreported";
+    EXPECT_NE(r.problems[0].find(
+                  "replay: AREGION_FAILPOINTS='oracle.inject.divergence:p1'"
+                  " AREGION_FAILPOINT_SEED=5 bench_contention --workload "
+                  "counters --contexts 2 --seed 3"),
+              std::string::npos)
+        << r.problems[0];
 }
 
 /** Without setReplayInfo the message is unstamped — the oracle must
