@@ -218,10 +218,10 @@ Machine::doAbort(Ctx &ctx, AbortCause cause, int abort_id,
     // restored register is corrupted after the checkpoint copy, as a
     // buggy restore path would (payload = delta). The bisimulation
     // oracle must flag it — that is the negative self-test.
-    if (injectOn && fpDivergence && fpDivergence->evaluate() &&
+    if (injectOn && fpDivergence && fpDivergence.fire() &&
         !frame.regs.empty()) {
         result.injectedDivergences++;
-        const int64_t delta = fpDivergence->value();
+        const int64_t delta = fpDivergence.value();
         frame.regs.back() += delta != 0 ? delta : 1;
     }
 
@@ -690,9 +690,9 @@ Machine::execute(Ctx &ctx, const MUop &uop, uint64_t pc)
             // Artificial capacity pressure: shrink this region's
             // effective line budget (payload = lines; default one
             // way's worth, which overflows almost immediately).
-            if (fpCapacity && fpCapacity->evaluate()) {
+            if (fpCapacity && fpCapacity.fire()) {
                 result.injectedCapacity++;
-                const int64_t lines = fpCapacity->value();
+                const int64_t lines = fpCapacity.value();
                 spec.capLines =
                     lines > 0 ? static_cast<int>(std::min<int64_t>(
                                     lines, config.l1Lines))
@@ -701,9 +701,9 @@ Machine::execute(Ctx &ctx, const MUop &uop, uint64_t pc)
             // Forced assert failure: the region aborts explicitly
             // before its first instruction, as if a compiler assert
             // at the region head fired (payload = assert id).
-            if (fpAssert && fpAssert->evaluate()) {
+            if (fpAssert && fpAssert.fire()) {
                 result.injectedAsserts++;
-                const int64_t id = fpAssert->value();
+                const int64_t id = fpAssert.value();
                 throw RegionAbort{AbortCause::Explicit,
                                   id > 0 ? static_cast<int>(id) : -1};
             }
@@ -720,9 +720,9 @@ Machine::execute(Ctx &ctx, const MUop &uop, uint64_t pc)
             // conflict into the window. One draw per region.
             if (fpCommitStall && !ctx.commitStalled) {
                 ctx.commitStalled = true;
-                if (fpCommitStall->evaluate()) {
+                if (fpCommitStall.fire()) {
                     result.injectedCommitStalls++;
-                    const int64_t steps = fpCommitStall->value();
+                    const int64_t steps = fpCommitStall.value();
                     ctx.stallSteps =
                         steps > 0 ? static_cast<uint64_t>(steps)
                                   : config.quantum;
@@ -731,7 +731,7 @@ Machine::execute(Ctx &ctx, const MUop &uop, uint64_t pc)
             }
             // Forced conflict: the commit point loses an ownership
             // race that real contention would have produced.
-            if (fpConflict && fpConflict->evaluate()) {
+            if (fpConflict && fpConflict.fire()) {
                 result.injectedConflicts++;
                 throw RegionAbort{AbortCause::Conflict, -1};
             }
@@ -831,7 +831,7 @@ Machine::step(Ctx &ctx)
     // Injected spurious interrupt/context switch: one failpoint hit
     // per speculative uop, so `p` rates scale with region length.
     if (injectOn && fpInterrupt && ctx.spec.active &&
-        fpInterrupt->evaluate()) {
+        fpInterrupt.fire()) {
         result.injectedInterrupts++;
         doAbort(ctx, AbortCause::Interrupt, -1, pc);
     }
@@ -926,23 +926,34 @@ Machine::publishTelemetry()
     reg.merge(keys::kMachineRegionWriteLines, writeLinesLocal);
 }
 
+bool
+Machine::Injection::fire()
+{
+    return point->firesAt(++hits);
+}
+
+int64_t
+Machine::Injection::value() const
+{
+    return point->value();
+}
+
 MachineResult
 Machine::run(uint64_t max_uops)
 {
     // Resolve failpoint handles once; with nothing armed the hooks
     // reduce to a single always-false branch on `injectOn`.
     auto &fps = failpoint::Registry::global();
-    if (fps.anyArmed()) {
-        fpInterrupt = fps.find(failpoint::kMachineInterrupt);
-        fpCapacity = fps.find(failpoint::kMachineCapacity);
-        fpAssert = fps.find(failpoint::kMachineAssert);
-        fpConflict = fps.find(failpoint::kMachineConflict);
-        fpCommitStall = fps.find(failpoint::kMachineCommitStall);
-        fpDivergence = fps.find(failpoint::kOracleDivergence);
-    } else {
-        fpInterrupt = fpCapacity = fpAssert = nullptr;
-        fpConflict = fpCommitStall = fpDivergence = nullptr;
-    }
+    const bool armed = fps.anyArmed();
+    const auto resolve = [&](const char *name) {
+        return Injection{armed ? fps.find(name) : nullptr, 0};
+    };
+    fpInterrupt = resolve(failpoint::kMachineInterrupt);
+    fpCapacity = resolve(failpoint::kMachineCapacity);
+    fpAssert = resolve(failpoint::kMachineAssert);
+    fpConflict = resolve(failpoint::kMachineConflict);
+    fpCommitStall = resolve(failpoint::kMachineCommitStall);
+    fpDivergence = resolve(failpoint::kOracleDivergence);
     injectOn = fpInterrupt || fpCapacity || fpAssert || fpConflict ||
                fpCommitStall || fpDivergence;
 

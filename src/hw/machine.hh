@@ -369,16 +369,29 @@ class Machine
     BisimOracle *bisim = nullptr;
     ContentionControl *contention = nullptr;
 
+    /** An armed failpoint with this run's own hit count, so what a
+     *  run injects depends on nothing else the process runs. */
+    struct Injection
+    {
+        const failpoint::Failpoint *point = nullptr;
+        uint64_t hits = 0;
+
+        explicit operator bool() const { return point != nullptr; }
+        /** Count one hit; true when the failpoint fires on it. */
+        bool fire();
+        int64_t value() const;
+    };
+
     /** Failpoint handles, resolved once per run() so the armed case
      *  costs a pointer test per hook and the unarmed case costs the
      *  single `injectOn` branch (support/failpoint.hh). */
     bool injectOn = false;
-    failpoint::Failpoint *fpInterrupt = nullptr;
-    failpoint::Failpoint *fpCapacity = nullptr;
-    failpoint::Failpoint *fpAssert = nullptr;
-    failpoint::Failpoint *fpConflict = nullptr;
-    failpoint::Failpoint *fpCommitStall = nullptr;
-    failpoint::Failpoint *fpDivergence = nullptr;
+    Injection fpInterrupt;
+    Injection fpCapacity;
+    Injection fpAssert;
+    Injection fpConflict;
+    Injection fpCommitStall;
+    Injection fpDivergence;
 
     vm::Heap heapImpl;
     std::vector<Ctx> ctxs;

@@ -88,6 +88,50 @@ timed(std::atomic<uint64_t> &slot, const char *passName,
     return changed;
 }
 
+/** Erase every function no call reaches from main: the closure over
+ *  CallStatic and Spawn targets plus, for each vtable slot a
+ *  CallVirtual names, every class's method in that slot (lowered
+ *  CallVirtual is the only indirect call). Later passes only copy or
+ *  delete calls, so an erased function is never needed again. */
+void
+pruneUnreachable(ir::Module &mod)
+{
+    const vm::Program &prog = *mod.prog;
+    std::vector<bool> reached(static_cast<size_t>(prog.numMethods()));
+    std::vector<bool> slots;
+    std::vector<vm::MethodId> work;
+    const auto reach = [&](vm::MethodId m) {
+        if (m != vm::NO_METHOD && !reached[static_cast<size_t>(m)]) {
+            reached[static_cast<size_t>(m)] = true;
+            work.push_back(m);
+        }
+    };
+    reach(prog.mainMethod);
+    while (!work.empty()) {
+        const ir::Function &func = mod.funcs.at(work.back());
+        work.pop_back();
+        for (int b = 0; b < func.numBlocks(); ++b) {
+            for (const ir::Instr &in : func.block(b).instrs) {
+                if (in.op == ir::Op::CallStatic || in.op == ir::Op::Spawn) {
+                    reach(in.aux);
+                } else if (in.op == ir::Op::CallVirtual) {
+                    const auto slot = static_cast<size_t>(in.aux);
+                    if (slot >= slots.size())
+                        slots.resize(slot + 1);
+                    if (slots[slot])
+                        continue;
+                    slots[slot] = true;
+                    for (vm::ClassId c = 0; c < prog.numClasses(); ++c)
+                        reach(prog.tryResolveVirtual(c, in.aux));
+                }
+            }
+        }
+    }
+    std::erase_if(mod.funcs, [&](const auto &entry) {
+        return !reached[static_cast<size_t>(entry.first)];
+    });
+}
+
 } // namespace
 
 bool
@@ -153,20 +197,26 @@ inlineModule(ir::Module &mod, const OptContext &ctx)
     // revisit just the callers the inliner touched — everything else
     // is already at the scalar fixpoint, and re-running the pipeline
     // there is the kind of redundant compile time the telemetry
-    // counters exist to expose.
+    // counters exist to expose. Each sweep then drops the functions
+    // no call reaches any more (a callee inlined at its only site),
+    // so no later stage compiles code that cannot run.
     for (int round = 0; round < 4; ++round) {
         bool inlined = false;
         std::vector<vm::MethodId> touched;
         {
             telemetry::ScopedTimerUs timer(t.inl);
             inlined = inlineCalls(mod, ctx, &touched);
+            pruneUnreachable(mod);
         }
         if (round == 0) {
             for (auto &[mid, func] : mod.funcs)
                 runScalarPipeline(func, ctx);
         } else {
-            for (vm::MethodId mid : touched)
-                runScalarPipeline(mod.funcs.at(mid), ctx);
+            for (vm::MethodId mid : touched) {
+                if (const auto it = mod.funcs.find(mid);
+                    it != mod.funcs.end())
+                    runScalarPipeline(it->second, ctx);
+            }
         }
         if (!inlined)
             break;

@@ -111,7 +111,10 @@ bool unrollLoops(ir::Function &func, const OptContext &ctx);
 bool runScalarPipeline(ir::Function &func, const OptContext &ctx);
 
 /** First half of optimizeModule: inline/devirtualize to a fixpoint,
- *  running the scalar pipeline between sweeps. */
+ *  running the scalar pipeline between sweeps. After every sweep it
+ *  erases each function no call reaches from main (CallStatic and
+ *  Spawn targets, and every class's method in each vtable slot a
+ *  CallVirtual names), so later stages see only code that can run. */
 void inlineModule(ir::Module &mod, const OptContext &ctx);
 
 /** Second half of optimizeModule: unroll, then re-clean the

@@ -3,29 +3,18 @@
 #include <string>
 
 #include "opt/pass.hh"
+#include "support/fnv.hh"
 
 namespace aregion::runtime::service {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
 struct Fnv
 {
-    uint64_t state = kFnvOffset;
+    uint64_t state = kFnvOffsetBasis;
 
-    void byte(uint8_t b)
-    {
-        state ^= b;
-        state *= kFnvPrime;
-    }
-
-    void u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<uint8_t>(v >> (8 * i)));
-    }
+    void byte(uint8_t b) { state = fnvByte(state, b); }
+    void u64(uint64_t v) { state = fnvWord(state, v); }
 
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
 

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "support/fnv.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/whole_number.hh"
@@ -20,11 +21,9 @@ namespace {
 uint64_t
 hashName(const std::string &name)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : name) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 0x100000001b3ULL;
-    }
+    uint64_t h = kFnvOffsetBasis;
+    for (const char c : name)
+        h = fnvByte(h, static_cast<uint8_t>(c));
     return h;
 }
 
@@ -87,34 +86,23 @@ parseSpec(const std::string &text, Spec *out, std::string *err)
 }
 
 bool
-Failpoint::evaluate()
+Failpoint::firesAt(uint64_t hit) const
 {
-    // 1-based hit index, claimed atomically so concurrent contexts
-    // never share a draw.
-    const uint64_t hit =
-        hitCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    bool fired = false;
     switch (pointSpec.trigger) {
       case Trigger::Probability:
-        if (pointSpec.probability >= 1.0) {
-            fired = true;
-        } else if (pointSpec.probability > 0.0) {
-            const double draw =
-                static_cast<double>(splitmix64(derivedSeed ^ hit) >> 11) *
-                (1.0 / 9007199254740992.0);
-            fired = draw < pointSpec.probability;
-        }
-        break;
+        if (pointSpec.probability >= 1.0)
+            return true;
+        if (pointSpec.probability <= 0.0)
+            return false;
+        return static_cast<double>(splitmix64(derivedSeed ^ hit) >> 11) *
+                   (1.0 / 9007199254740992.0) <
+               pointSpec.probability;
       case Trigger::EveryNth:
-        fired = hit % pointSpec.n == 0;
-        break;
+        return hit % pointSpec.n == 0;
       case Trigger::OneShot:
-        fired = hit == pointSpec.n;
-        break;
+        return hit == pointSpec.n;
     }
-    if (fired)
-        fireCount.fetch_add(1, std::memory_order_relaxed);
-    return fired;
+    return false;
 }
 
 Registry::Registry()
@@ -157,8 +145,6 @@ Registry::arm(const std::string &name, const Spec &spec)
     }
     slot->pointSpec = spec;
     slot->derivedSeed = deriveSeed(name);
-    slot->hitCount.store(0, std::memory_order_relaxed);
-    slot->fireCount.store(0, std::memory_order_relaxed);
     armedCount.store(points.size(), std::memory_order_relaxed);
 }
 
@@ -234,11 +220,8 @@ Registry::setSeed(uint64_t seed)
 {
     std::lock_guard<std::mutex> lock(mu);
     baseSeed = seed;
-    for (auto &[name, point] : points) {
+    for (auto &[name, point] : points)
         point->derivedSeed = deriveSeed(name);
-        point->hitCount.store(0, std::memory_order_relaxed);
-        point->fireCount.store(0, std::memory_order_relaxed);
-    }
 }
 
 uint64_t
@@ -254,29 +237,6 @@ Registry::find(const std::string &name)
     std::lock_guard<std::mutex> lock(mu);
     const auto it = points.find(name);
     return it == points.end() ? nullptr : it->second.get();
-}
-
-bool
-Registry::fire(const std::string &name)
-{
-    Failpoint *point = find(name);
-    return point != nullptr && point->evaluate();
-}
-
-uint64_t
-Registry::hitCount(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = points.find(name);
-    return it == points.end() ? 0 : it->second->hits();
-}
-
-uint64_t
-Registry::fireCount(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = points.find(name);
-    return it == points.end() ? 0 : it->second->fires();
 }
 
 std::vector<std::string>

@@ -21,11 +21,12 @@
  * binaries without measurable overhead.
  *
  * Determinism: firing decisions are pure functions of (global seed,
- * failpoint name, hit index) — no hidden RNG state — so a run with
- * the same seed and the same spec replays exactly, including under
- * the parallel experiment driver (hit indices are claimed with an
- * atomic counter; cross-thread interleaving can permute which thread
- * observes which hit, but single-machine runs are bit-reproducible).
+ * failpoint name, hit index) — no hidden RNG state, and no shared
+ * counter. The caller numbers its own hits: hw::Machine counts each
+ * failpoint's hits from 1 in every run(), so `n<N>` and `once<N>`
+ * count within one machine run, and a run with the same seed and
+ * spec replays exactly whatever else the process runs, at any
+ * AREGION_JOBS.
  *
  * Configuration: the environment variable
  * `AREGION_FAILPOINTS=<name:spec>[,<name:spec>...]` is read the
@@ -103,20 +104,9 @@ class Failpoint
     const Spec &spec() const { return pointSpec; }
     int64_t value() const { return pointSpec.value; }
 
-    /**
-     * Record one hit and decide whether the site fires. Thread-safe;
-     * the decision depends only on (seed, name, hit index).
-     */
-    bool evaluate();
-
-    uint64_t hits() const
-    {
-        return hitCount.load(std::memory_order_relaxed);
-    }
-    uint64_t fires() const
-    {
-        return fireCount.load(std::memory_order_relaxed);
-    }
+    /** Whether the site fires on its @p hit -th hit (1-based): a
+     *  pure function of (seed, name, hit), safe from any thread. */
+    bool firesAt(uint64_t hit) const;
 
   private:
     friend class Registry;
@@ -124,15 +114,13 @@ class Failpoint
     std::string pointName;
     Spec pointSpec;
     uint64_t derivedSeed = 0;   ///< mix of registry seed and name
-    std::atomic<uint64_t> hitCount{0};
-    std::atomic<uint64_t> fireCount{0};
 };
 
 /**
- * The process-wide failpoint table. Arm/disarm/configure are
+ * The process-wide failpoint table. Arm/disarm/configure/setSeed are
  * control-plane operations and must not race with in-flight
- * evaluate() calls (arm before starting machines, disarm after they
- * finish); evaluate() itself is safe from any thread.
+ * firesAt() calls (arm before starting machines, disarm after they
+ * finish); firesAt() itself is safe from any thread.
  */
 class Registry
 {
@@ -141,7 +129,7 @@ class Registry
      *  AREGION_FAILPOINT_SEED once on first access. */
     static Registry &global();
 
-    /** Arm (or re-arm, resetting counters) a failpoint. */
+    /** Arm (or re-arm with a new spec) a failpoint. */
     void arm(const std::string &name, const Spec &spec);
 
     /**
@@ -160,8 +148,8 @@ class Registry
 
     /**
      * Set the base seed. Re-derives the per-point seeds of every
-     * armed failpoint and resets their hit/fire counters, so
-     * seed-then-arm and arm-then-seed give the same stream.
+     * armed failpoint, so seed-then-arm and arm-then-seed give the
+     * same stream.
      */
     void setSeed(uint64_t seed);
     uint64_t seed() const;
@@ -174,13 +162,6 @@ class Registry
 
     /** Handle for a hook site to cache; nullptr when not armed. */
     Failpoint *find(const std::string &name);
-
-    /** Convenience: find() + evaluate() (slow path; hooks on hot
-     *  paths should cache the handle instead). */
-    bool fire(const std::string &name);
-
-    uint64_t hitCount(const std::string &name) const;
-    uint64_t fireCount(const std::string &name) const;
 
     /** Names of all armed failpoints, sorted. */
     std::vector<std::string> armedNames() const;

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "support/fnv.hh"
+
 namespace aregion {
 
 /**
@@ -25,12 +27,8 @@ inline uint64_t
 outputChecksum(const std::vector<int64_t> &output)
 {
     uint64_t h = 1469598103934665603ULL;
-    for (const int64_t v : output) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (static_cast<uint64_t>(v) >> (b * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
+    for (const int64_t v : output)
+        h = fnvWord(h, static_cast<uint64_t>(v));
     return h;
 }
 

@@ -140,7 +140,7 @@ struct GridCell
  * independent of completion order) and publish `contention.*`
  * telemetry. Failpoint arming is grid-scoped, not cell-scoped — arm
  * before calling, disarm after — because the registry is
- * process-global and arming mid-grid would race evaluate().
+ * process-global and arming mid-grid would race firesAt().
  */
 std::vector<CellResult> runContentionGrid(
     const std::vector<GridCell> &cells);

@@ -17,6 +17,7 @@
 #include "core/compiler.hh"
 #include "hw/codegen.hh"
 #include "hw/machine.hh"
+#include "support/fnv.hh"
 #include "vm/interpreter.hh"
 #include "workloads/workload.hh"
 
@@ -36,16 +37,6 @@ struct GoldenRow
      *  commits, abortsByCause[0..5]) tuple, in map order. */
     uint64_t regionFingerprint = 0;
 };
-
-inline uint64_t
-goldenMix(uint64_t h, uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (b * 8)) & 0xff;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 /** Profile on the profiling input, compile the measurement input
  *  with atomic+aggressive-inline, run the functional machine, and
@@ -80,12 +71,12 @@ runGoldenPipeline(const workloads::Workload &w)
     row.regionAborts = res.regionAborts;
     uint64_t h = 1469598103934665603ULL;
     for (const auto &[key, stats] : res.regions) {
-        h = goldenMix(h, static_cast<uint64_t>(key.first));
-        h = goldenMix(h, static_cast<uint64_t>(key.second));
-        h = goldenMix(h, stats.entries);
-        h = goldenMix(h, stats.commits);
+        h = fnvWord(h, static_cast<uint64_t>(key.first));
+        h = fnvWord(h, static_cast<uint64_t>(key.second));
+        h = fnvWord(h, stats.entries);
+        h = fnvWord(h, stats.commits);
         for (uint64_t c : stats.abortsByCause)
-            h = goldenMix(h, c);
+            h = fnvWord(h, c);
     }
     row.regionFingerprint = h;
 

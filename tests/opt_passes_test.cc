@@ -10,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/compiler.hh"
+#include "figures.hh"
+#include "hw/codegen.hh"
+#include "hw/machine.hh"
 #include "ir/evaluator.hh"
 #include "ir/ssa.hh"
 #include "ir/translate.hh"
@@ -713,6 +718,233 @@ TEST(OptPipeline, PassReportingNoChangeLeavesFunctionUntouched)
         }
     }
     EXPECT_GT(unchanged_results, 10000);
+}
+
+/** Methods a call can reach from main, computed independently of the
+ *  compiler's prune: CallStatic and Spawn targets, and for each
+ *  vtable slot a CallVirtual names, every class's method there. */
+std::set<vm::MethodId>
+callClosure(const ir::Module &mod)
+{
+    const Program &prog = *mod.prog;
+    std::set<vm::MethodId> seen{prog.mainMethod};
+    std::vector<vm::MethodId> work{prog.mainMethod};
+    while (!work.empty()) {
+        const ir::Function &f = mod.funcs.at(work.back());
+        work.pop_back();
+        std::vector<vm::MethodId> targets;
+        for (int b = 0; b < f.numBlocks(); ++b) {
+            for (const ir::Instr &in : f.block(b).instrs) {
+                if (in.op == ir::Op::CallStatic || in.op == ir::Op::Spawn)
+                    targets.push_back(in.aux);
+                if (in.op != ir::Op::CallVirtual)
+                    continue;
+                for (vm::ClassId c = 0; c < prog.numClasses(); ++c)
+                    targets.push_back(prog.tryResolveVirtual(c, in.aux));
+            }
+        }
+        for (const vm::MethodId m : targets) {
+            if (m != vm::NO_METHOD && seen.insert(m).second)
+                work.push_back(m);
+        }
+    }
+    return seen;
+}
+
+std::set<vm::MethodId>
+moduleMethods(const ir::Module &mod)
+{
+    std::set<vm::MethodId> methods;
+    for (const auto &[m, f] : mod.funcs)
+        methods.insert(m);
+    return methods;
+}
+
+/** Run the compiled module on the functional machine. */
+hw::MachineResult
+runOnMachine(const Program &prog, const ir::Module &mod)
+{
+    vm::Heap layout_heap(prog, 1 << 20);
+    const hw::MachineProgram mp =
+        hw::lowerModule(mod, hw::LayoutInfo::fromHeap(layout_heap));
+    hw::Machine machine(mp, hw::HwConfig{});
+    return machine.run();
+}
+
+/** Figures 2/3's addElement is inlined at both of main's call sites
+ *  under `atomic`, so no call reaches it and it is not compiled. */
+TEST(OptPrune, InlinedAddElementIsNotCompiled)
+{
+    const Program prog = bench::addElementSample().build(false);
+    const vm::MethodId add_element = 0;
+    ASSERT_EQ(prog.method(add_element).name, "addElement");
+    Profile profile(prog);
+    Interpreter interp(prog, &profile);
+    ASSERT_TRUE(interp.run().completed);
+
+    const core::Compiled compiled = core::compileProgram(
+        prog, profile, core::CompilerConfig::atomic());
+    EXPECT_EQ(compiled.mod.funcs.count(add_element), 0u);
+    EXPECT_EQ(moduleMethods(compiled.mod),
+              std::set<vm::MethodId>{prog.mainMethod});
+
+    const hw::MachineResult res = runOnMachine(prog, compiled.mod);
+    ASSERT_TRUE(res.completed);
+    EXPECT_EQ(res.output, interp.output());
+}
+
+/** Dispatch through a polymorphic slot keeps every class's method in
+ *  it, allocated or not, and a Spawn target stays too; a helper
+ *  inlined at its only site and a method nothing calls are gone. */
+TEST(OptPrune, VirtualSlotsAndSpawnTargetsStay)
+{
+    ProgramBuilder pb;
+    const ClassId shape = pb.declareClass("Shape", {"dim", "done"});
+    const int f_dim = pb.fieldIndex(shape, "dim");
+    const int f_done = pb.fieldIndex(shape, "done");
+    const ClassId square = pb.declareClass("Square", {}, shape);
+    const ClassId circle = pb.declareClass("Circle", {}, shape);
+    const ClassId hexagon = pb.declareClass("Hexagon", {}, shape);
+    std::vector<MethodId> areas;
+    for (const ClassId cls : {square, circle, hexagon}) {
+        areas.push_back(pb.declareVirtual(cls, "area", 1));
+        auto f = pb.define(areas.back());
+        const Reg d = f.getField(f.self(), f_dim);
+        f.ret(f.add(f.mul(d, d), f.constant(cls)));
+        f.finish();
+    }
+    const MethodId helper = pb.declareMethod("helper", 1);
+    {
+        auto f = pb.define(helper);
+        f.ret(f.add(f.arg(0), f.constant(1)));
+        f.finish();
+    }
+    const MethodId unused = pb.declareMethod("unused", 0);
+    {
+        auto f = pb.define(unused);
+        f.retVoid();
+        f.finish();
+    }
+    const MethodId worker = pb.declareMethod("worker", 1);
+    {
+        auto f = pb.define(worker);
+        f.monitorEnter(f.arg(0));
+        f.putField(f.arg(0), f_done, f.constant(1));
+        f.monitorExit(f.arg(0));
+        f.retVoid();
+        f.finish();
+    }
+
+    const MethodId mm = pb.declareMethod("main", 0);
+    auto mb = pb.define(mm);
+    const Reg sq = mb.newObject(square);
+    const Reg ci = mb.newObject(circle);
+    const Reg i = mb.constant(0);
+    const Reg n = mb.constant(200);
+    const Reg one = mb.constant(1);
+    const Reg sum = mb.constant(0);
+    const Reg recv = mb.newReg();
+    const Label loop = mb.newLabel();
+    const Label done = mb.newLabel();
+    const Label use_ci = mb.newLabel();
+    const Label call = mb.newLabel();
+    mb.bind(loop);
+    mb.branchCmp(Bc::CmpGe, i, n, done);
+    mb.putField(sq, f_dim, i);
+    mb.putField(ci, f_dim, i);
+    // Half the receivers are circles: no devirtualization.
+    mb.branchIf(mb.binop(Bc::Rem, i, mb.constant(2)), use_ci);
+    mb.mov(recv, sq);
+    mb.jump(call);
+    mb.bind(use_ci);
+    mb.mov(recv, ci);
+    mb.bind(call);
+    mb.binopTo(Bc::Add, sum, sum,
+               mb.callVirtual(pb.virtualSlot("area"), {recv}));
+    mb.binopTo(Bc::Add, i, i, one);
+    mb.jump(loop);
+    mb.bind(done);
+    mb.print(mb.callStatic(helper, {sum}));
+    mb.putField(sq, f_done, mb.constant(0));
+    mb.spawn(worker, {sq});
+    const Label spin = mb.newLabel();
+    const Reg flag = mb.newReg();
+    mb.bind(spin);
+    mb.safepoint();
+    mb.monitorEnter(sq);
+    mb.getFieldTo(flag, sq, f_done);
+    mb.monitorExit(sq);
+    mb.branchCmp(Bc::CmpEq, flag, mb.constant(0), spin);
+    mb.print(flag);
+    mb.retVoid();
+    mb.finish();
+    pb.setMain(mm);
+    const Program prog = pb.build();
+    verifyOrDie(prog);
+
+    Profile profile(prog);
+    Interpreter interp(prog, &profile);
+    ASSERT_TRUE(interp.run().completed);
+    for (const core::CompilerConfig &config :
+         {core::CompilerConfig::baseline(), core::CompilerConfig::atomic(),
+          core::CompilerConfig::atomicAggressiveInline()}) {
+        SCOPED_TRACE(config.name);
+        const core::Compiled compiled =
+            core::compileProgram(prog, profile, config);
+        EXPECT_EQ(moduleMethods(compiled.mod),
+                  (std::set<vm::MethodId>{areas[0], areas[1], areas[2],
+                                          worker, mm}));
+        const hw::MachineResult res = runOnMachine(prog, compiled.mod);
+        ASSERT_TRUE(res.completed);
+        EXPECT_EQ(res.output, interp.output());
+    }
+}
+
+/** From inline+scalar on, every stage's module holds exactly the
+ *  methods a call can reach: no dead function is compiled further,
+ *  and no reachable one is missing. */
+TEST(OptPrune, EveryStageHoldsExactlyTheCallClosure)
+{
+    core::CompilerConfig atomic = core::CompilerConfig::atomic();
+    atomic.region = core::RegionConfig::smallBodies();
+    atomic.postdomCheckElim = true;
+    int checked = 0;
+    int pruned = 0;
+    for (const core::CompilerConfig &config :
+         {core::CompilerConfig::baseline(), atomic,
+          core::CompilerConfig::atomicAggressiveInline()}) {
+        for (uint32_t mask : aregion::testing::canonicalMasks()) {
+            for (uint64_t seed = 1; seed <= 12; ++seed) {
+                SCOPED_TRACE(config.name + " mask " +
+                             aregion::testing::maskName(mask) + " seed " +
+                             std::to_string(seed));
+                RandomProgramGen gen(seed, mask);
+                const Program prog = renderProgram(gen.generate());
+                Profile profile(prog);
+                Interpreter interp(prog, &profile, 1ull << 22);
+                try {
+                    interp.run(1ull << 24);
+                } catch (const vm::Trap &) {
+                    // A trapping run still leaves a usable profile.
+                }
+                core::compileProgram(
+                    prog, profile, config,
+                    [&](core::Stage stage, const ir::Module &mod) {
+                        if (stage == core::Stage::Translate) {
+                            pruned += prog.numMethods();
+                            return;
+                        }
+                        EXPECT_EQ(moduleMethods(mod), callClosure(mod))
+                            << "after " << core::stageName(stage);
+                        if (stage == core::Stage::InlineScalar)
+                            pruned -= static_cast<int>(mod.funcs.size());
+                        ++checked;
+                    });
+            }
+        }
+    }
+    EXPECT_GT(checked, 1000);
+    EXPECT_GT(pruned, 0) << "test premise: some function is dropped";
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "support/failpoint.hh"
@@ -79,7 +78,6 @@ TEST_F(FailpointTest, UnarmedFindReturnsNull)
     auto &reg = fp::Registry::global();
     EXPECT_EQ(reg.find("no.such.point"), nullptr);
     EXPECT_FALSE(reg.anyArmed());
-    EXPECT_FALSE(reg.fire("no.such.point"));
 }
 
 TEST_F(FailpointTest, EveryNthFiresOnSchedule)
@@ -94,13 +92,11 @@ TEST_F(FailpointTest, EveryNthFiresOnSchedule)
     fp::Failpoint *point = reg.find("test.point");
     ASSERT_NE(point, nullptr);
     std::vector<bool> fired;
-    for (int i = 0; i < 9; ++i)
-        fired.push_back(point->evaluate());
+    for (uint64_t hit = 1; hit <= 9; ++hit)
+        fired.push_back(point->firesAt(hit));
     const std::vector<bool> want = {false, false, true,  false, false,
                                     true,  false, false, true};
     EXPECT_EQ(fired, want);
-    EXPECT_EQ(point->hits(), 9u);
-    EXPECT_EQ(point->fires(), 3u);
 }
 
 TEST_F(FailpointTest, OneShotFiresExactlyOnce)
@@ -113,10 +109,10 @@ TEST_F(FailpointTest, OneShotFiresExactlyOnce)
     fp::Failpoint *point = reg.find("test.point");
     ASSERT_NE(point, nullptr);
     int fires = 0;
-    for (int i = 0; i < 100; ++i)
-        fires += point->evaluate() ? 1 : 0;
+    for (uint64_t hit = 1; hit <= 100; ++hit)
+        fires += point->firesAt(hit) ? 1 : 0;
     EXPECT_EQ(fires, 1);
-    EXPECT_EQ(point->fires(), 1u);
+    EXPECT_TRUE(point->firesAt(4));
 }
 
 TEST_F(FailpointTest, ProbabilityIsDeterministicInSeed)
@@ -131,8 +127,8 @@ TEST_F(FailpointTest, ProbabilityIsDeterministicInSeed)
         reg.arm("test.point", spec);
         fp::Failpoint *point = reg.find("test.point");
         std::vector<bool> fired;
-        for (int i = 0; i < 200; ++i)
-            fired.push_back(point->evaluate());
+        for (uint64_t hit = 1; hit <= 200; ++hit)
+            fired.push_back(point->firesAt(hit));
         return fired;
     };
 
@@ -160,9 +156,9 @@ TEST_F(FailpointTest, DistinctNamesGetDistinctStreams)
     fp::Failpoint *a = reg.find("point.a");
     fp::Failpoint *b = reg.find("point.b");
     std::vector<bool> sa, sb;
-    for (int i = 0; i < 64; ++i) {
-        sa.push_back(a->evaluate());
-        sb.push_back(b->evaluate());
+    for (uint64_t hit = 1; hit <= 64; ++hit) {
+        sa.push_back(a->firesAt(hit));
+        sb.push_back(b->firesAt(hit));
     }
     EXPECT_NE(sa, sb);
 }
@@ -177,16 +173,16 @@ TEST_F(FailpointTest, SeedOrderDoesNotMatter)
     reg.setSeed(99);
     reg.arm("test.point", spec);
     std::vector<bool> seed_first;
-    for (int i = 0; i < 50; ++i)
-        seed_first.push_back(reg.find("test.point")->evaluate());
+    for (uint64_t hit = 1; hit <= 50; ++hit)
+        seed_first.push_back(reg.find("test.point")->firesAt(hit));
 
     reg.disarmAll();
     reg.setSeed(0);
     reg.arm("test.point", spec);
-    reg.setSeed(99);   // re-derives and resets counters
+    reg.setSeed(99);   // re-derives the point's seed
     std::vector<bool> seed_last;
-    for (int i = 0; i < 50; ++i)
-        seed_last.push_back(reg.find("test.point")->evaluate());
+    for (uint64_t hit = 1; hit <= 50; ++hit)
+        seed_last.push_back(reg.find("test.point")->firesAt(hit));
 
     EXPECT_EQ(seed_first, seed_last);
 }
@@ -307,38 +303,6 @@ TEST_F(FailpointTest, DisarmRemovesPoint)
     EXPECT_TRUE(reg.anyArmed());
     reg.disarmAll();
     EXPECT_FALSE(reg.anyArmed());
-}
-
-TEST_F(FailpointTest, ConcurrentEvaluateCountsEveryHit)
-{
-    auto &reg = fp::Registry::global();
-    fp::Spec spec;
-    std::string err;
-    ASSERT_TRUE(fp::parseSpec("n10", &spec, &err)) << err;
-    reg.arm("test.point", spec);
-    fp::Failpoint *point = reg.find("test.point");
-
-    constexpr int kThreads = 4;
-    constexpr int kHitsPer = 2500;
-    std::vector<std::thread> workers;
-    std::vector<uint64_t> fires(kThreads, 0);
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            for (int i = 0; i < kHitsPer; ++i)
-                fires[static_cast<size_t>(t)] +=
-                    point->evaluate() ? 1 : 0;
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-    EXPECT_EQ(point->hits(), uint64_t{kThreads} * kHitsPer);
-    // Every-10th over 10000 total hits: exactly 1000 fires, however
-    // the threads interleave.
-    uint64_t total = 0;
-    for (const uint64_t f : fires)
-        total += f;
-    EXPECT_EQ(total, 1000u);
-    EXPECT_EQ(point->fires(), 1000u);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,69 @@ TEST_F(ContentionGridTest, GridSurvivesForcedConflictInjection)
     for (const ct::CellResult &r : results)
         injected += r.injectedConflicts + r.injectedCommitStalls;
     EXPECT_GT(injected, 0u) << "injection armed but never fired";
+}
+
+/**
+ * Each machine run numbers its own failpoint hits, so an injected
+ * cell's result is a function of the cell alone. bench_contention's
+ * forced-contention sweep (5 levels x 3 workloads, seed 1) and its
+ * stamped replay of the hashtable cell at 4 contexts must read the
+ * same row, at 1 job and at 4.
+ */
+TEST_F(ContentionGridTest, InjectedCellReplaysItsSweepRowAtAnyJobCount)
+{
+    auto &fps = fp::Registry::global();
+    fps.setSeed(1);
+    std::string err;
+    ASSERT_GE(
+        fps.configure(
+            "machine.conflict:p0.02,machine.commit_stall:p0.05=64",
+            &err),
+        0)
+        << err;
+
+    const auto row = [](const ct::CellResult &r) {
+        return std::vector<uint64_t>{
+            r.regionEntries,     r.regionCommits,
+            r.totalAborts,       r.conflictAborts,
+            r.injectedConflicts, r.injectedCommitStalls,
+            r.allContextUops,    r.backoffSteps,
+            r.livelockBreaks};
+    };
+    const char *env = std::getenv("AREGION_JOBS");
+    const std::string saved = env ? env : "";
+    const ct::ContentionWorkload &hashtable =
+        ct::contentionWorkloadByName("hashtable");
+    std::vector<std::vector<uint64_t>> rows;
+    for (const char *jobs : {"1", "4"}) {
+        SCOPED_TRACE(std::string("AREGION_JOBS=") + jobs);
+        setenv("AREGION_JOBS", jobs, 1);
+        const auto sweep = ct::runContentionGrid(
+            makeGrid({2, 4, 8, 16, 32}, {1}));
+        ct::ContentionRunConfig cfg;
+        cfg.contexts = 4;
+        cfg.seed = 1;
+        const auto alone = ct::runContentionGrid({{&hashtable, cfg}});
+        bool found = false;
+        for (const ct::CellResult &r : sweep) {
+            if (r.workload != "hashtable" || r.contexts != 4)
+                continue;
+            found = true;
+            EXPECT_EQ(row(r), row(alone[0]));
+        }
+        EXPECT_TRUE(found);
+        EXPECT_GT(alone[0].injectedConflicts +
+                      alone[0].injectedCommitStalls,
+                  0u)
+            << "injection armed but never fired";
+        rows.push_back(row(alone[0]));
+    }
+    if (env)
+        setenv("AREGION_JOBS", saved.c_str(), 1);
+    else
+        unsetenv("AREGION_JOBS");
+    fps.disarmAll();
+    EXPECT_EQ(rows[0], rows[1]);
 }
 
 /** Randomized commit interleavings: different seeds jitter the
