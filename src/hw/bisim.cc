@@ -11,6 +11,19 @@ namespace layout = vm::layout;
 using vm::Trap;
 using vm::TrapKind;
 
+namespace {
+
+/** Uop budget per replay; the horizon at which the two replays are
+ *  compared if nothing else stops them first. */
+constexpr uint64_t kHorizonUops = 2048;
+
+/** Divergences recorded before further reports are suppressed
+ *  (counted, not stored): one planted bug otherwise floods the log
+ *  with one report per subsequent abort. */
+constexpr size_t kMaxReports = 8;
+
+} // namespace
+
 const char *
 BisimOracle::stopName(Stop stop)
 {
@@ -78,7 +91,7 @@ BisimOracle::setReplayInfo(uint64_t seed, std::string command)
 void
 BisimOracle::report(int ctx_id, std::string what)
 {
-    if (found.size() >= cfg.maxReports) {
+    if (found.size() >= kMaxReports) {
         ++suppressedCount;
         return;
     }
@@ -139,7 +152,7 @@ BisimOracle::replay(int ctx_id, const MachineFunction &fn,
     };
 
     while (true) {
-        if (res.uops >= cfg.horizonUops)
+        if (res.uops >= kHorizonUops)
             return finish(Stop::Horizon);
         if (res.pc < 0 ||
             res.pc >= static_cast<int>(fn.code.size())) {

@@ -61,26 +61,10 @@
 
 namespace aregion::hw {
 
-/** Replayer knobs. */
-struct BisimConfig
-{
-    /** Uop budget per replay; the horizon at which the two replays
-     *  are compared if nothing else stops them first. */
-    static constexpr uint64_t horizonUops = 2048;
-
-    /** Divergences recorded before further reports are suppressed
-     *  (counted, not stored) — one planted bug otherwise floods the
-     *  log with one report per subsequent abort. */
-    size_t maxReports = 8;
-};
-
 class BisimOracle
 {
   public:
-    explicit BisimOracle(const MachineProgram &program,
-                         BisimConfig config = {})
-        : mp(program), cfg(config)
-    {}
+    explicit BisimOracle(const MachineProgram &program) : mp(program) {}
 
     /**
      * Bisimulate one abort. `checkpoint_regs`/`alt_pc` are the
@@ -183,7 +167,6 @@ class BisimOracle
     void report(int ctx_id, std::string what);
 
     const MachineProgram &mp;
-    BisimConfig cfg;
     std::vector<Divergence> found;
     bool replayValid = false;
     uint64_t replaySeed = 0;

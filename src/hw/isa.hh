@@ -266,24 +266,12 @@ struct MachineFunction
     std::map<int, std::map<int, std::pair<int, int>>> regionAborts;
 };
 
-/** Global pc helpers. */
+/** Global pc: method id in the high bits, uop offset in the low 16. */
 constexpr uint64_t
 globalPc(vm::MethodId method, int offset)
 {
     return (static_cast<uint64_t>(method) << 16) |
            static_cast<uint64_t>(offset);
-}
-
-constexpr vm::MethodId
-pcMethod(uint64_t pc)
-{
-    return static_cast<vm::MethodId>(pc >> 16);
-}
-
-constexpr int
-pcOffset(uint64_t pc)
-{
-    return static_cast<int>(pc & 0xffff);
 }
 
 /** A whole compiled program. */

@@ -252,13 +252,6 @@ Machine::doAbort(Ctx &ctx, AbortCause cause, int abort_id,
                           spec.altPc, frame.regs, frame.pc, heapImpl,
                           cause);
     }
-    if (config.maxConsecutiveAborts > 0 &&
-        ++ctx.consecutiveAborts >= config.maxConsecutiveAborts &&
-        !ctx.specSuppressed) {
-        ctx.specSuppressed = true;
-        ctx.suppressedEntries = 0;
-        result.livelockTrips++;
-    }
     if (contention) {
         ctx.stallSteps = contention->onAbort(ctx.id, cause);
         result.backoffSteps += ctx.stallSteps;
@@ -308,10 +301,6 @@ Machine::commitRegion(Ctx &ctx)
         oracle->onCommit(ctx.id);
     if (contention)
         contention->onCommit(ctx.id);
-    // A commit proves the region can make progress: re-enable
-    // speculation if the livelock guard had given up on it.
-    ctx.consecutiveAborts = 0;
-    ctx.specSuppressed = false;
 }
 
 void
@@ -654,15 +643,6 @@ Machine::execute(Ctx &ctx, const MUop &uop, uint64_t pc)
 
       case MKind::ABegin: {
         AREGION_ASSERT(!ctx.spec.active, "nested atomic region");
-        // Livelock guard engaged: take the non-speculative
-        // alternate path directly, probing speculation again every
-        // 64th entry (commitRegion lifts the suppression).
-        if (ctx.specSuppressed &&
-            ++ctx.suppressedEntries % 64 != 0) {
-            result.specSuppressedEntries++;
-            next_pc = uop.target;
-            break;
-        }
         Spec &spec = ctx.spec;
         spec.active = true;
         spec.regionId = uop.aux;
@@ -857,8 +837,8 @@ Machine::publishTelemetry()
     }
     reg.add(keys::kMachineAbortTotal, total_aborts);
 
-    // Injection/guard counters only exist when the features are on,
-    // so default runs register nothing new.
+    // Injection counters only exist when failpoints are armed, so
+    // default runs register nothing new.
     if (injectOn) {
         reg.add(keys::kMachineInjectInterrupt,
                 result.injectedInterrupts);
@@ -891,11 +871,6 @@ Machine::publishTelemetry()
         reg.add(keys::kOracleBisimDivergences,
                 bisim->divergences().size() +
                     bisim->suppressedReports());
-    }
-    if (config.maxConsecutiveAborts > 0) {
-        reg.add(keys::kMachineSpecSuppressed,
-                result.specSuppressedEntries);
-        reg.add(keys::kMachineLivelockTrips, result.livelockTrips);
     }
 
     reg.add(keys::kMachineRegionEntries, result.regionEntries);

@@ -95,17 +95,11 @@ struct HwConfig
      */
     int maxContexts = vm::layout::MAX_THREADS;
 
-    /**
-     * Livelock guard: after this many consecutive aborts on one
-     * context with no intervening commit, region entry is suppressed
-     * (aregion_begin branches straight to the alternate pc, i.e. the
-     * non-speculative path) so an always-aborting region still makes
-     * forward progress. Every 64th suppressed entry probes
-     * speculation again; a commit clears the suppression. 0 disables
-     * the guard (the default — benchmarks keep the paper's
-     * retry-forever hardware).
-     */
-    uint64_t maxConsecutiveAborts = 0;
+    /** Always 0: there is no livelock guard. An abort runs the
+     *  region's alternate path, so an always-aborting region still
+     *  finishes. Only perfbench reads it, in its cell key. The next
+     *  change to the benchmark removes it. */
+    static constexpr uint64_t maxConsecutiveAborts = 0;
 
     bool operator==(const HwConfig &) const = default;
 };
@@ -172,10 +166,6 @@ struct MachineResult
 
     /** Scheduler steps burned in ContentionControl backoff stalls. */
     uint64_t backoffSteps = 0;
-
-    /** Livelock guard (`HwConfig::maxConsecutiveAborts`). */
-    uint64_t specSuppressedEntries = 0; ///< begins run non-speculatively
-    uint64_t livelockTrips = 0;         ///< times the guard engaged
 
     /** Per static region: (methodId, regionId) -> stats. */
     std::map<std::pair<int, int>, RegionRuntime> regions;
@@ -267,11 +257,6 @@ class Machine
         uint64_t blockedOn = 0;             ///< monitor address or 0
         std::optional<AbortCause> pendingAbort;
         std::vector<int64_t> argScratch;    ///< call-argument staging
-
-        /** Livelock guard state (HwConfig::maxConsecutiveAborts). */
-        uint64_t consecutiveAborts = 0;
-        uint64_t suppressedEntries = 0;     ///< probe counter
-        bool specSuppressed = false;
 
         /** Scheduler steps this context must burn before executing
          *  again: an injected commit stall (machine.commit_stall)

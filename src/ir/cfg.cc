@@ -2,12 +2,6 @@
 
 namespace aregion::ir {
 
-std::vector<int>
-compactBlocks(Function &func)
-{
-    return func.compact();
-}
-
 std::map<int, int>
 cloneBlocks(Function &func, const std::set<int> &block_set)
 {

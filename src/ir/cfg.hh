@@ -1,7 +1,7 @@
 /**
  * @file
  * CFG surgery helpers shared by optimization passes and region
- * formation: unreachable-block compaction and subgraph cloning.
+ * formation: subgraph cloning and edge redirection.
  */
 
 #ifndef AREGION_IR_CFG_HH
@@ -9,18 +9,10 @@
 
 #include <map>
 #include <set>
-#include <vector>
 
 #include "ir/ir.hh"
 
 namespace aregion::ir {
-
-/**
- * Remove unreachable blocks and renumber the survivors in RPO.
- * Region metadata is remapped; regions whose entry became
- * unreachable are dropped. Returns old-id -> new-id (-1 if removed).
- */
-std::vector<int> compactBlocks(Function &func);
 
 /**
  * Clone a set of blocks. Edges between cloned blocks are redirected

@@ -114,20 +114,6 @@ LoopForest::loopOf(int block) const
     return innermost[static_cast<size_t>(block)];
 }
 
-std::vector<std::pair<int, int>>
-LoopForest::exitEdges(const Function &func, int loop) const
-{
-    std::vector<std::pair<int, int>> exits;
-    const Loop &l = loopVec[static_cast<size_t>(loop)];
-    for (int b : l.blocks) {
-        for (int s : func.block(b).succs) {
-            if (!l.contains(s))
-                exits.emplace_back(b, s);
-        }
-    }
-    return exits;
-}
-
 std::vector<int>
 LoopForest::entryPreds(const Function &func, int loop) const
 {

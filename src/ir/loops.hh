@@ -41,10 +41,6 @@ class LoopForest
     /** Innermost loop containing the block, or -1. */
     int loopOf(int block) const;
 
-    /** Loop exit edges: (from inside, to outside). */
-    std::vector<std::pair<int, int>> exitEdges(const Function &func,
-                                               int loop) const;
-
     /** Predecessors of the header from outside the loop. */
     std::vector<int> entryPreds(const Function &func, int loop) const;
 

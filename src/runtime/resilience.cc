@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "support/random.hh"
-#include "support/telemetry.hh"
-#include "support/telemetry_keys.hh"
 
 namespace aregion::runtime {
 
@@ -82,16 +80,6 @@ ContentionGovernor::onCommit(int ctx_id)
     cs.starving = false;
     conflictsSinceCommit = 0;
     staggered = false;
-}
-
-void
-ContentionGovernor::publishTelemetry() const
-{
-    namespace keys = telemetry::keys;
-    auto &reg = telemetry::Registry::global();
-    reg.add(keys::kResilienceBackoffSteps, backoffStepsTotal);
-    reg.add(keys::kResilienceStarvationBoosts, starvationCount);
-    reg.add(keys::kResilienceLivelockBreaks, livelockCount);
 }
 
 } // namespace aregion::runtime

@@ -2,7 +2,6 @@
  * @file
  * The contention governor: the software half of surviving genuine
  * conflict aborts between hardware contexts (docs/RESILIENCE.md).
- * Telemetry lands under `runtime.resilience.*` (docs/TELEMETRY.md).
  */
 
 #ifndef AREGION_RUNTIME_RESILIENCE_HH
@@ -64,9 +63,6 @@ class ContentionGovernor : public hw::ContentionControl
     uint64_t backoffSteps() const { return backoffStepsTotal; }
     uint64_t starvationBoosts() const { return starvationCount; }
     uint64_t livelockBreaks() const { return livelockCount; }
-
-    /** Mirror the counters into `runtime.resilience.*`. */
-    void publishTelemetry() const;
 
   private:
     struct CtxState

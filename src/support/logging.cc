@@ -15,12 +15,6 @@ setLogQuiet(bool quiet)
     quietFlag = quiet;
 }
 
-bool
-logQuiet()
-{
-    return quietFlag;
-}
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {

@@ -26,7 +26,6 @@ void informImpl(const std::string &msg);
 
 /** Controls whether inform()/warn() print to stderr (tests mute them). */
 void setLogQuiet(bool quiet);
-bool logQuiet();
 
 namespace detail {
 

@@ -1,39 +1,10 @@
 #include "support/statistics.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "support/logging.hh"
 
 namespace aregion {
-
-void
-RunningStat::add(double sample)
-{
-    if (n == 0) {
-        lo = hi = sample;
-    } else {
-        lo = std::min(lo, sample);
-        hi = std::max(hi, sample);
-    }
-    ++n;
-    total += sample;
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    n += other.n;
-    total += other.total;
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
-}
 
 void
 Histogram::add(int64_t value, uint64_t weight)
@@ -93,20 +64,6 @@ Histogram::percentile(double frac) const
     return data.rbegin()->first;
 }
 
-double
-Histogram::fractionAtOrBelow(int64_t value) const
-{
-    if (n == 0)
-        return 0.0;
-    uint64_t seen = 0;
-    for (const auto &[v, weight] : data) {
-        if (v > value)
-            break;
-        seen += weight;
-    }
-    return static_cast<double>(seen) / static_cast<double>(n);
-}
-
 uint64_t
 Histogram::countAbove(int64_t value) const
 {
@@ -116,19 +73,6 @@ Histogram::countAbove(int64_t value) const
         above += it->second;
     }
     return above;
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : values) {
-        AREGION_ASSERT(v > 0.0, "geomean needs positive values");
-        acc += std::log(v);
-    }
-    return std::exp(acc / static_cast<double>(values.size()));
 }
 
 double

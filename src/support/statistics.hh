@@ -1,8 +1,8 @@
 /**
  * @file
  * Lightweight statistics containers used by the simulators and the
- * benchmark harnesses: scalar counters, running averages, and
- * fixed-bucket histograms with percentile queries.
+ * benchmark harnesses: sparse histograms with percentile queries and
+ * the arithmetic mean.
  */
 
 #ifndef AREGION_SUPPORT_STATISTICS_HH
@@ -14,29 +14,6 @@
 #include <vector>
 
 namespace aregion {
-
-/** Running mean/min/max over a stream of samples. */
-class RunningStat
-{
-  public:
-    void add(double sample);
-    void merge(const RunningStat &other);
-
-    uint64_t count() const { return n; }
-    double sum() const { return total; }
-    double mean() const { return n ? total / static_cast<double>(n) : 0.0; }
-    /** Only meaningful when count() > 0; the 0.0 fallback is a
-     *  sentinel, and exporters must emit null/omit for empty series
-     *  rather than a fake zero minimum (see Registry::toJson). */
-    double min() const { return n ? lo : 0.0; }
-    double max() const { return n ? hi : 0.0; }
-
-  private:
-    uint64_t n = 0;
-    double total = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-};
 
 /**
  * Sparse histogram over integer sample values.
@@ -64,9 +41,6 @@ class Histogram
     /** Smallest value v such that at least frac of samples are <= v. */
     int64_t percentile(double frac) const;
 
-    /** Fraction of samples <= value. */
-    double fractionAtOrBelow(int64_t value) const;
-
     /** Number of samples strictly above value. */
     uint64_t countAbove(int64_t value) const;
 
@@ -76,9 +50,6 @@ class Histogram
     std::map<int64_t, uint64_t> data;
     uint64_t n = 0;
 };
-
-/** Geometric mean of a vector of positive ratios. */
-double geomean(const std::vector<double> &values);
 
 /** Arithmetic mean; 0 for empty input. */
 double mean(const std::vector<double> &values);

@@ -53,17 +53,14 @@
     /* the flushes that carried them. */                                    \
     X(kMachineBatchFlushes, "machine.batch.flushes", Counter)               \
     X(kMachineBatchUops, "machine.batch.uops", Counter)                     \
-    /* Fault injection (support/failpoint.hh hooks) and the livelock */     \
-    /* guard's suppressed entries. Zero unless failpoints are armed or */   \
-    /* HwConfig::maxConsecutiveAborts is set. */                            \
+    /* Fault injection (support/failpoint.hh hooks). Zero unless */         \
+    /* failpoints are armed. */                                             \
     X(kMachineInjectInterrupt, "machine.inject.interrupt", Counter)         \
     X(kMachineInjectCapacity, "machine.inject.capacity", Counter)           \
     X(kMachineInjectAssert, "machine.inject.assert", Counter)               \
     X(kMachineInjectConflict, "machine.inject.conflict", Counter)           \
     X(kMachineInjectCommitStall, "machine.inject.commit_stall", Counter)    \
     X(kMachineInjectTotal, "machine.inject.total", Counter)                 \
-    X(kMachineSpecSuppressed, "machine.region.spec_suppressed", Counter)    \
-    X(kMachineLivelockTrips, "machine.region.livelock_trips", Counter)      \
     /* Negative self-test (the failpoint name doubles as the key): a */     \
     /* planted bug the bisimulation oracle must detect. */                  \
     X(kOracleInjectDivergence, "oracle.inject.divergence", Counter)         \
@@ -112,13 +109,6 @@
     X(kJitPassDceUs, "jit.pass.dce_us", Counter)                            \
     X(kJitPassInlineUs, "jit.pass.inline_us", Counter)                      \
     X(kJitPassUnrollUs, "jit.pass.unroll_us", Counter)                      \
-    /* --- runtime.resilience.* (src/runtime/resilience.cc) ------------ */ \
-    /* The contention governor. */                                          \
-    X(kResilienceBackoffSteps, "runtime.resilience.backoff_steps", Counter) \
-    X(kResilienceStarvationBoosts,                                          \
-      "runtime.resilience.starvation_boosts", Counter)                      \
-    X(kResilienceLivelockBreaks,                                            \
-      "runtime.resilience.livelock_breaks", Counter)                        \
     /* --- region.* (src/core/region_formation.cc) --------------------- */ \
     X(kRegionFormed, "region.formed", Counter)                              \
     X(kRegionAssertsConverted, "region.asserts_converted", Counter)         \

@@ -202,12 +202,6 @@ MethodBuilder::callVirtual(int slot, const std::vector<Reg> &args)
 }
 
 void
-MethodBuilder::callVirtualVoid(int slot, const std::vector<Reg> &args)
-{
-    emit({Bc::CallVirtual, NO_REG, static_cast<Reg>(slot), 0, 0, args});
-}
-
-void
 MethodBuilder::ret(Reg value)
 {
     emit({Bc::Ret, value, 0, 0, 0, {}});

@@ -80,7 +80,6 @@ class MethodBuilder
     Reg callStatic(MethodId callee, const std::vector<Reg> &args);
     void callStaticVoid(MethodId callee, const std::vector<Reg> &args);
     Reg callVirtual(int slot, const std::vector<Reg> &args);
-    void callVirtualVoid(int slot, const std::vector<Reg> &args);
 
     void ret(Reg value);
     void retVoid();

@@ -75,14 +75,9 @@ struct ContentionRunConfig
     static constexpr uint64_t machineMaxUops = 1ull << 30;
 
     /** The ContentionGovernor's backoff/fairness/livelock policy
-     *  (the governor and the rollback oracle are always attached). */
+     *  (the governor, the rollback oracle and the deopt
+     *  bisimulation oracle of hw/bisim.hh are always attached). */
     runtime::ContentionPolicy policy;
-
-    /** Attach the deopt bisimulation oracle (hw/bisim.hh): every
-     *  abort — including conflict aborts between fighting contexts —
-     *  is replayed non-speculatively from its checkpoint and must
-     *  reach the state the hardware left behind. */
-    bool bisim = true;
 };
 
 /** Everything one cell reports. */
@@ -119,8 +114,8 @@ struct CellResult
 
 /**
  * Run one cell: profile, compile (atomic + SLE), and execute the
- * workload on `contexts + 1` hardware contexts with the oracle and
- * governor attached, then differentially compare the output against
+ * workload on `contexts + 1` hardware contexts with both oracles and
+ * the governor attached, then differentially compare the output against
  * the reference interpreter. Does not arm failpoints: whatever is
  * armed process-wide (e.g. machine.conflict) applies, and the cell's
  * replay command names it.

@@ -2,9 +2,9 @@
  * @file
  * Contention harness: one grid cell = profile, compile (atomic +
  * SLE), run on contexts+1 hardware contexts with the cross-context
- * rollback oracle and the contention governor attached, then
- * differentially check the printed output against the reference
- * interpreter.
+ * rollback oracle, the bisimulation oracle and the contention
+ * governor attached, then differentially check the printed output
+ * against the reference interpreter.
  *
  * The harness drives the pipeline directly (like
  * testing/diff_harness.cc) instead of runtime::runExperiment because
@@ -128,10 +128,8 @@ runContentionCell(const ContentionWorkload &workload,
     oracle.setReplayInfo(cfg.seed, replay);
     machine.setOracle(&oracle);
     hw::BisimOracle bisim(mp);
-    if (cfg.bisim) {
-        bisim.setReplayInfo(cfg.seed, replay);
-        machine.setBisimOracle(&bisim);
-    }
+    bisim.setReplayInfo(cfg.seed, replay);
+    machine.setBisimOracle(&bisim);
     runtime::ContentionPolicy policy = cfg.policy;
     policy.seed = cfg.seed;
     runtime::ContentionGovernor governor(policy);

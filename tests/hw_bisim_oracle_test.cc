@@ -321,25 +321,23 @@ TEST_F(BisimOracleTest, DetectsPlantedRollbackBug)
 
 /** Direct tampered-state feed: mismatched post-abort registers at a
  *  trivial replay point (straight to Ret) must produce a register
- *  divergence, and repeated reports must saturate at maxReports with
- *  the overflow counted, not stored. */
+ *  divergence, and repeated reports must saturate at the oracle's
+ *  cap of 8 with the overflow counted, not stored. */
 TEST_F(BisimOracleTest, DirectTamperIsFlaggedAndReportsAreCapped)
 {
     const vm::Program shell = shellProgram();
     const hw::MachineProgram mp = abortProgram(shell);
     vm::Heap heap(shell, 1 << 16);
 
-    hw::BisimConfig cfg;
-    cfg.maxReports = 3;
-    hw::BisimOracle bisim(mp, cfg);
+    hw::BisimOracle bisim(mp);
     const int ret_pc = 11;      // the Ret uop in abortProgram
     const std::vector<int64_t> checkpoint = {1, 2, 3};
     const std::vector<int64_t> tampered = {1, 9, 3};
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < 10; ++i) {
         bisim.checkAbort(0, 0, checkpoint, ret_pc, tampered, ret_pc,
                          heap, hw::AbortCause::Explicit);
     }
-    ASSERT_EQ(bisim.divergences().size(), 3u);
+    ASSERT_EQ(bisim.divergences().size(), 8u);
     EXPECT_EQ(bisim.suppressedReports(), 2u);
     EXPECT_NE(bisim.divergences().front().what.find("register"),
               std::string::npos)

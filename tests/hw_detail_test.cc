@@ -351,11 +351,4 @@ TEST(HwDetail, HeapAllocResetZeroesReclaimedRange)
     EXPECT_EQ(heap.load(arr2 + vm::layout::ARR_ELEM_BASE), 0);
 }
 
-TEST(HwDetail, GlobalPcRoundTrips)
-{
-    const uint64_t pc = hw::globalPc(1234, 567);
-    EXPECT_EQ(hw::pcMethod(pc), 1234);
-    EXPECT_EQ(hw::pcOffset(pc), 567);
-}
-
 } // namespace

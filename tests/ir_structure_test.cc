@@ -170,9 +170,6 @@ TEST(Loops, ExitEdgesAndEntryPreds)
     const Function f = diamondLoop();
     const DominatorTree doms(f);
     const LoopForest forest(f, doms);
-    const auto exits = forest.exitEdges(f, 0);
-    ASSERT_EQ(exits.size(), 1u);
-    EXPECT_EQ(exits[0], std::make_pair(4, 5));
     EXPECT_EQ(forest.entryPreds(f, 0), std::vector<int>{0});
 }
 

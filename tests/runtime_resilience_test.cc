@@ -2,9 +2,8 @@
  * @file
  * Abort-storm resilience, end to end: a region that aborts on every
  * entry still lets the program finish with correct output, because
- * each abort runs the region's non-speculative alternate path, and
- * the machine's livelock guard (HwConfig::maxConsecutiveAborts) cuts
- * the wasted speculation short.
+ * each abort runs the region's non-speculative alternate path. The
+ * exact counts are the ones docs/RESILIENCE.md quotes.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +11,6 @@
 #include "programs.hh"
 #include "runtime/jit.hh"
 #include "support/failpoint.hh"
-#include "support/telemetry.hh"
-#include "support/telemetry_keys.hh"
 
 namespace {
 
@@ -22,13 +19,6 @@ using namespace aregion::test;
 namespace rt = aregion::runtime;
 namespace core = aregion::core;
 namespace fp = aregion::failpoint;
-namespace keys = aregion::telemetry::keys;
-
-uint64_t
-counter(const char *key)
-{
-    return telemetry::Registry::global().counterValue(key);
-}
 
 class ResilienceTest : public ::testing::Test
 {
@@ -45,7 +35,9 @@ TEST_F(ResilienceTest, PermanentStormCompletes)
     config.compiler = core::CompilerConfig::atomic();
     const auto clean = rt::runExperiment(prog, prog, config);
     ASSERT_TRUE(clean.completed);
-    ASSERT_GT(clean.regionEntries, 0u);
+    EXPECT_EQ(clean.regionEntries, 701u);
+    EXPECT_EQ(clean.cycles, 22'259u);
+    EXPECT_EQ(clean.outputChecksum, 4330625097497500191u);
 
     // Inject an unconditional explicit abort at every region entry
     // with an assert id the compiler never emitted, so no recompile
@@ -54,28 +46,15 @@ TEST_F(ResilienceTest, PermanentStormCompletes)
     fps.setSeed(1234);
     ASSERT_EQ(fps.configure("machine.assert:p1=977"), 1);
     const auto storm = rt::runExperiment(prog, prog, config);
-
-    config.hw.maxConsecutiveAborts = 16;
-    const uint64_t trips0 = counter(keys::kMachineLivelockTrips);
-    const auto guarded = rt::runExperiment(prog, prog, config);
-    const uint64_t trips = counter(keys::kMachineLivelockTrips) - trips0;
     fps.disarmAll();
 
     // No region ever commits, yet the program finishes with the
     // clean output.
     ASSERT_TRUE(storm.completed);
     EXPECT_EQ(storm.outputChecksum, clean.outputChecksum);
-    EXPECT_GT(storm.regionEntries, 0u);
+    EXPECT_EQ(storm.regionEntries, 2'570u);
     EXPECT_EQ(storm.regionAborts, storm.regionEntries);
-    EXPECT_GT(storm.cycles, clean.cycles);
-
-    // The livelock guard trips and stops re-entering the storming
-    // region: same output, far fewer entries and cycles.
-    ASSERT_TRUE(guarded.completed);
-    EXPECT_EQ(guarded.outputChecksum, clean.outputChecksum);
-    EXPECT_GT(trips, 0u);
-    EXPECT_LT(guarded.regionEntries, storm.regionEntries);
-    EXPECT_LT(guarded.cycles, storm.cycles);
+    EXPECT_EQ(storm.cycles, 74'472u);
 }
 
 } // namespace

@@ -83,31 +83,6 @@ TEST(Rng, PickWeightedRespectsWeights)
     EXPECT_NEAR(counts[2] / static_cast<double>(counts[0]), 3.0, 0.2);
 }
 
-TEST(RunningStat, Basics)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    s.add(2.0);
-    s.add(4.0);
-    s.add(9.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, Merge)
-{
-    RunningStat a, b;
-    a.add(1.0);
-    b.add(3.0);
-    b.add(5.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(a.max(), 5.0);
-}
-
 TEST(Histogram, PercentilesAndFractions)
 {
     Histogram h;
@@ -117,7 +92,6 @@ TEST(Histogram, PercentilesAndFractions)
     EXPECT_EQ(h.percentile(0.50), 50);
     EXPECT_EQ(h.percentile(0.99), 99);
     EXPECT_EQ(h.percentile(1.00), 100);
-    EXPECT_DOUBLE_EQ(h.fractionAtOrBelow(10), 0.10);
     EXPECT_EQ(h.countAbove(90), 10u);
     EXPECT_DOUBLE_EQ(h.mean(), 50.5);
     EXPECT_EQ(h.min(), 1);
@@ -131,12 +105,6 @@ TEST(Histogram, WeightedAdds)
     h.add(50, 90);
     EXPECT_EQ(h.percentile(0.05), 5);
     EXPECT_EQ(h.percentile(0.5), 50);
-}
-
-TEST(Statistics, Geomean)
-{
-    EXPECT_DOUBLE_EQ(geomean({4.0, 9.0}), 6.0);
-    EXPECT_DOUBLE_EQ(geomean({}), 0.0);
 }
 
 TEST(Statistics, Mean)

@@ -22,18 +22,29 @@
 #include <string>
 #include <vector>
 
+#include "core/compiler.hh"
+#include "hw/bisim.hh"
+#include "hw/codegen.hh"
+#include "hw/machine.hh"
 #include "hw/oracle.hh"
 #include "runtime/resilience.hh"
 #include "support/failpoint.hh"
+#include "support/telemetry.hh"
+#include "support/telemetry_keys.hh"
 #include "vm/heap.hh"
+#include "vm/interpreter.hh"
 #include "workloads/contention/contention.hh"
 
 namespace {
 
 namespace ct = aregion::workloads::contention;
+namespace core = aregion::core;
 namespace hw = aregion::hw;
+namespace vm = aregion::vm;
 namespace rt = aregion::runtime;
 namespace fp = aregion::failpoint;
+namespace telemetry = aregion::telemetry;
+namespace keys = aregion::telemetry::keys;
 
 /** Build the standard test grid: every workload at each level. */
 std::vector<ct::GridCell>
@@ -382,8 +393,8 @@ class ContentionBisimTest : public ::testing::Test
  * Cross-context bisimulation (ISSUE 9 tentpole): at 2 and 8 contexts
  * every abort in the three shared-heap workloads — including genuine
  * conflict aborts — must replay to an equivalent observable state
- * from the aregion_begin checkpoint. cfg.bisim is the default, so
- * this pins what the whole grid surface already runs with; the
+ * from the aregion_begin checkpoint. The harness always attaches the
+ * oracle, so this pins what the whole grid surface runs with; the
  * explicit matrix makes the 2-vs-8 coverage non-negotiable and
  * checks the oracle demonstrably replayed work.
  */
@@ -442,8 +453,15 @@ TEST_F(ContentionBisimTest, SeededConflictAbortStormBisimulates)
         << "storm aborts were not bisimulation-checked";
 }
 
-/** cfg.bisim=false detaches the oracle completely: zero checks, and
- *  the architectural outcome is unchanged (pure observer). */
+/**
+ * The bisimulation oracle is a pure observer under contention too.
+ * The harness always attaches it, so this drives the counters cell at
+ * 8 contexts (seed 3) on a machine built as the harness builds it
+ * (quantum 13, governor attached), once without the oracle and once
+ * with it. The run without it publishes no bisim checks, the machine
+ * history is the same either way, and the attached run is the
+ * harness's own cell.
+ */
 TEST_F(ContentionBisimTest, DisabledBisimIsInertAndUncounted)
 {
     const ct::ContentionWorkload &w =
@@ -451,20 +469,66 @@ TEST_F(ContentionBisimTest, DisabledBisimIsInertAndUncounted)
     ct::ContentionRunConfig cfg;
     cfg.contexts = 8;
     cfg.seed = 3;
-    cfg.bisim = false;
-    const ct::CellResult off = ct::runContentionCell(w, cfg);
-    cfg.bisim = true;
-    const ct::CellResult on = ct::runContentionCell(w, cfg);
+    const int hw_ctxs = cfg.contexts + 1;
 
-    EXPECT_TRUE(off.completed);
-    EXPECT_TRUE(off.problems.empty());
-    EXPECT_EQ(off.bisimChecks, 0u);
-    EXPECT_EQ(off.bisimReplayedUops, 0u);
-    EXPECT_GT(on.bisimChecks, 0u);
+    const vm::Program profile_prog = w.build(cfg.contexts, true);
+    const vm::Program prog = w.build(cfg.contexts, false);
+    vm::Profile profile(profile_prog);
+    vm::Interpreter interp(profile_prog, &profile, cfg.heapWords,
+                           hw_ctxs);
+    ASSERT_TRUE(interp.run().completed);
+    core::CompilerConfig cc = core::CompilerConfig::atomic();
+    cc.region = core::RegionConfig::smallBodies();
+    const core::Compiled compiled =
+        core::compileProgram(prog, profile, cc);
+    vm::Heap layout_heap(prog, cfg.heapWords, hw_ctxs);
+    const hw::MachineProgram mp = hw::lowerModule(
+        compiled.mod, hw::LayoutInfo::fromHeap(layout_heap));
+
+    auto run = [&](hw::BisimOracle *bisim) {
+        hw::HwConfig hw_cfg;
+        hw_cfg.maxContexts = hw_ctxs;
+        hw_cfg.quantum = cfg.quantum;
+        hw::Machine machine(mp, hw_cfg, nullptr, cfg.heapWords);
+        machine.setBisimOracle(bisim);
+        rt::ContentionPolicy policy = cfg.policy;
+        policy.seed = cfg.seed;
+        rt::ContentionGovernor governor(policy);
+        machine.setContentionControl(&governor);
+        return machine.run(cfg.machineMaxUops);
+    };
+    auto conflictAborts = [](const hw::MachineResult &res) {
+        uint64_t n = 0;
+        for (const auto &[key, rr] : res.regions)
+            n += rr.abortsByCause[static_cast<int>(
+                hw::AbortCause::Conflict)];
+        return n;
+    };
+    const auto &reg = telemetry::Registry::global();
+    const uint64_t checks0 = reg.counterValue(keys::kOracleBisimChecks);
+    const hw::MachineResult off = run(nullptr);
+    EXPECT_EQ(reg.counterValue(keys::kOracleBisimChecks), checks0);
+    hw::BisimOracle bisim(mp);
+    const hw::MachineResult on = run(&bisim);
+
+    ASSERT_TRUE(off.completed);
+    ASSERT_TRUE(on.completed);
+    EXPECT_TRUE(bisim.divergences().empty());
+    EXPECT_GT(bisim.checks(), 0u);
+    EXPECT_EQ(reg.counterValue(keys::kOracleBisimChecks) - checks0,
+              bisim.checks());
+    EXPECT_GT(conflictAborts(on), 0u);
     // Same seed, same machine history, oracle attached or not.
     EXPECT_EQ(on.regionCommits, off.regionCommits);
-    EXPECT_EQ(on.conflictAborts, off.conflictAborts);
+    EXPECT_EQ(conflictAborts(on), conflictAborts(off));
     EXPECT_EQ(on.backoffSteps, off.backoffSteps);
+
+    const ct::CellResult cell = ct::runContentionCell(w, cfg);
+    EXPECT_TRUE(cell.problems.empty());
+    EXPECT_EQ(cell.regionCommits, on.regionCommits);
+    EXPECT_EQ(cell.conflictAborts, conflictAborts(on));
+    EXPECT_EQ(cell.backoffSteps, on.backoffSteps);
+    EXPECT_EQ(cell.bisimChecks, bisim.checks());
 }
 
 class ContentionOracleTest : public ::testing::Test
