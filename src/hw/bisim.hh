@@ -14,8 +14,8 @@
  * (register file + alternate pc) and the post-abort state (register
  * file + resumed pc). The oracle then re-executes the alternate path
  * *non-speculatively* from both states with its own MUop replayer —
- * independent of Machine::execute, so a machine bug cannot hide in
- * the oracle — over copy-on-write views of the abort-time heap, up to
+ * independent of Machine::runQuantum, so a machine bug cannot hide
+ * in the oracle — over copy-on-write views of the abort-time heap, up to
  * a bounded horizon (uop budget, frame return, next region entry,
  * trap, blocking monitor, spawn). The two replays must produce
  * identical observable traces:

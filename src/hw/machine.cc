@@ -326,495 +326,589 @@ Machine::invoke(Ctx &ctx, vm::MethodId callee, const int64_t *argv,
     }
 }
 
+int64_t &
+Machine::Frame::reg(MReg r)
+{
+    AREGION_ASSERT(r >= 0 && static_cast<size_t>(r) < regs.size(),
+                   "machine register out of range");
+    return regs[static_cast<size_t>(r)];
+}
+
 void
-Machine::execute(Ctx &ctx, const MUop &uop, uint64_t pc)
+Machine::call(Ctx &ctx, const MUop &uop, TraceUop &t, int next_pc)
+{
+    AREGION_ASSERT(!ctx.spec.active, "call inside atomic region");
+    Frame &frame = ctx.top();
+    vm::MethodId callee;
+    std::vector<int64_t> &argv = ctx.argScratch;
+    argv.clear();
+    if (uop.kind == MKind::CallDirect) {
+        callee = uop.aux;
+        for (MReg r : uop.srcs)
+            argv.push_back(frame.reg(r));
+    } else {
+        callee = static_cast<vm::MethodId>(frame.reg(uop.srcs[0]));
+        AREGION_ASSERT(callee >= 0 && callee < mp.prog->numMethods(),
+                       "indirect call to bad method id ", callee);
+        t.indirect = true;
+        t.targetPc = globalPc(callee, 0);
+        for (size_t i = 1; i < uop.srcs.size(); ++i)
+            argv.push_back(frame.reg(uop.srcs[i]));
+    }
+    frame.pc = next_pc;     // return continuation
+    invoke(ctx, callee, argv.data(), argv.size(), uop.dst, t.seq);
+}
+
+void
+Machine::ret(Ctx &ctx, const MUop &uop, uint64_t seq)
+{
+    AREGION_ASSERT(!ctx.spec.active, "return inside atomic region");
+    Frame &frame = ctx.top();
+    std::optional<int64_t> value;
+    if (!uop.srcs.empty())
+        value = frame.reg(uop.srcs[0]);
+    const MReg ret_dst = frame.retDst;
+    --ctx.depth;
+    if (ctx.depth == 0) {
+        ctx.finished = true;
+    } else if (ret_dst != NO_MREG) {
+        AREGION_ASSERT(value.has_value(), "void return into destination");
+        Frame &caller = ctx.top();
+        caller.regs[static_cast<size_t>(ret_dst)] = *value;
+        if (ctx.id == 0 && sink)
+            caller.lastWriter[static_cast<size_t>(ret_dst)] = seq;
+    }
+}
+
+bool
+Machine::monitorEnter(Ctx &ctx, const MUop &uop, TraceUop &t)
+{
+    if (ctx.spec.active)
+        throw RegionAbort{AbortCause::Exception, -1};
+    const auto obj = checkRef(ctx, ctx.top().reg(uop.srcs[0]), uop);
+    const uint64_t lock_addr = obj + layout::HDR_LOCK;
+    const int64_t word = heapImpl.load(lock_addr);
+    const int owner = layout::lockOwner(word);
+    t.serializing = true;
+    t.lat = LatClass::Serial;
+    if (owner == -1) {
+        memWrite(ctx, lock_addr, layout::lockWord(ctx.id, 1));
+    } else if (owner == ctx.id) {
+        memWrite(ctx, lock_addr,
+                 layout::lockWord(ctx.id, layout::lockDepth(word) + 1));
+    } else {
+        // Stay blocked at this uop; the scheduler retries.
+        ctx.blockedOn = obj;
+        return false;
+    }
+    ctx.blockedOn = 0;
+    return true;
+}
+
+void
+Machine::monitorExit(Ctx &ctx, const MUop &uop, TraceUop &t)
+{
+    if (ctx.spec.active)
+        throw RegionAbort{AbortCause::Exception, -1};
+    const auto obj = checkRef(ctx, ctx.top().reg(uop.srcs[0]), uop);
+    const uint64_t lock_addr = obj + layout::HDR_LOCK;
+    const int64_t word = heapImpl.load(lock_addr);
+    AREGION_ASSERT(layout::lockOwner(word) == ctx.id,
+                   "unlock by non-owner");
+    const int64_t depth = layout::lockDepth(word) - 1;
+    t.serializing = true;
+    t.lat = LatClass::Serial;
+    memWrite(ctx, lock_addr,
+             depth == 0 ? 0 : layout::lockWord(ctx.id, depth));
+}
+
+uint64_t
+Machine::allocate(Ctx &ctx, const MUop &uop, TraceUop &t)
+{
+    uint64_t addr;
+    if (uop.imm == 0) {
+        const int fields = heapImpl.fieldCount(uop.aux);
+        addr = heapImpl.allocRaw(
+            static_cast<uint64_t>(layout::OBJ_FIELD_BASE + fields));
+        memWrite(ctx, addr + layout::HDR_CLASS, uop.aux);
+    } else {
+        const int64_t len = ctx.top().reg(uop.srcs[0]);
+        if (len < 0)
+            raiseTrap(ctx, TrapKind::NegativeArraySize, uop);
+        addr = heapImpl.allocRaw(
+            static_cast<uint64_t>(layout::ARR_ELEM_BASE + len));
+        memWrite(ctx, addr + layout::HDR_CLASS, layout::ARRAY_CLASS);
+        memWrite(ctx, addr + layout::ARR_LEN, len);
+    }
+    t.isStore = true;
+    t.lat = LatClass::Store;
+    t.memAddr = addr;
+    return addr;
+}
+
+void
+Machine::crossMarker(Ctx &ctx, const MUop &uop)
+{
+    if (ctx.spec.active)
+        throw RegionAbort{AbortCause::Io, -1};
+    if (ctx.id != 0)
+        return;
+    result.markers.push_back(
+        {uop.imm, result.executedUops - result.discardedUops});
+    if (sink) {
+        flushTrace();
+        sink->marker(uop.imm);
+    }
+}
+
+void
+Machine::spawn(Ctx &ctx, const MUop &uop)
+{
+    if (ctx.spec.active)
+        throw RegionAbort{AbortCause::Io, -1};
+    AREGION_ASSERT(ctxs.size() < static_cast<size_t>(config.maxContexts),
+                   "context limit exceeded");
+    std::vector<int64_t> &argv = ctx.argScratch;
+    argv.clear();
+    for (MReg r : uop.srcs)
+        argv.push_back(ctx.top().reg(r));
+    // ctxs is reserved to maxContexts up front, so this never
+    // reallocates under the live `ctx` reference.
+    ctxs.emplace_back();
+    Ctx &fresh = ctxs.back();
+    fresh.id = static_cast<int>(ctxs.size()) - 1;
+    initCtx(fresh);
+    invoke(fresh, uop.aux, argv.data(), argv.size(), NO_MREG, 0);
+}
+
+void
+Machine::beginRegion(Ctx &ctx, const MUop &uop, uint64_t pc)
+{
+    AREGION_ASSERT(!ctx.spec.active, "nested atomic region");
+    const Frame &frame = ctx.top();
+    Spec &spec = ctx.spec;
+    spec.active = true;
+    spec.regionId = uop.aux;
+    spec.method = frame.fn->methodId;
+    spec.altPc = uop.target;
+    spec.beginPc = pc;
+    spec.uops = 0;
+    spec.capLines = config.l1Lines;
+    spec.regsSnapshot = frame.regs;
+    spec.writersSnapshot = frame.lastWriter;
+    spec.storeBuf.beginEpoch();
+    spec.readLines.beginEpoch();
+    spec.writeLines.beginEpoch();
+    spec.setOccupancy.beginEpoch();
+    spec.stats = &result.regions[{spec.method, spec.regionId}];
+    spec.stats->entries++;
+    result.regionEntries++;
+    if (oracle) {
+        oracle->captureBegin(ctx.id, ctxs.size(), frame.regs, uop.target,
+                             heapImpl);
+    }
+    if (!injectOn)
+        return;
+    // Artificial capacity pressure: shrink this region's effective
+    // line budget (payload = lines; default one way's worth, which
+    // overflows almost immediately).
+    if (fpCapacity && fpCapacity.fire()) {
+        result.injectedCapacity++;
+        const int64_t lines = fpCapacity.value();
+        spec.capLines =
+            lines > 0 ? static_cast<int>(
+                            std::min<int64_t>(lines, config.l1Lines))
+                      : config.l1Assoc;
+    }
+    // Forced assert failure: the region aborts explicitly before its
+    // first instruction, as if a compiler assert at the region head
+    // fired (payload = assert id).
+    if (fpAssert && fpAssert.fire()) {
+        result.injectedAsserts++;
+        const int64_t id = fpAssert.value();
+        throw RegionAbort{AbortCause::Explicit,
+                          id > 0 ? static_cast<int>(id) : -1};
+    }
+}
+
+bool
+Machine::injectAtCommit(Ctx &ctx)
+{
+    // Injected commit latency: hold the region open for a stall
+    // (payload = steps; default one quantum) before re-executing this
+    // AEnd, so other contexts commit or conflict into the window. One
+    // draw per region.
+    if (fpCommitStall && !ctx.commitStalled) {
+        ctx.commitStalled = true;
+        if (fpCommitStall.fire()) {
+            result.injectedCommitStalls++;
+            const int64_t steps = fpCommitStall.value();
+            ctx.stallSteps =
+                steps > 0 ? static_cast<uint64_t>(steps) : config.quantum;
+            return true;
+        }
+    }
+    // Forced conflict: the commit point loses an ownership race that
+    // real contention would have produced.
+    if (fpConflict && fpConflict.fire()) {
+        result.injectedConflicts++;
+        throw RegionAbort{AbortCause::Conflict, -1};
+    }
+    return false;
+}
+
+void
+Machine::runQuantum(Ctx &ctx)
 {
     namespace arith = vm::arith;
-    Frame &frame = ctx.top();
-    const bool tracing = ctx.id == 0 && sink != nullptr;
-
-    auto reg = [&](MReg r) -> int64_t & {
-        AREGION_ASSERT(r >= 0 &&
-                       static_cast<size_t>(r) < frame.regs.size(),
-                       "machine register out of range");
-        return frame.regs[static_cast<size_t>(r)];
-    };
+    if (ctx.finished || ctxs[0].finished)
+        return;
 
     // Sequence numbers and register dependences exist only for the
     // sink-visible trace, so none of that bookkeeping runs unless
     // context 0 is actually being traced.
-    TraceUop t;
-    if (tracing) {
-        t.seq = ++tracedSeq;
-        t.pc = pc;
-        t.numSrcs = static_cast<int>(
-            std::min<size_t>(uop.srcs.size(), 3));
-        for (int i = 0; i < t.numSrcs; ++i) {
-            t.srcSeq[i] = frame.lastWriter[
-                static_cast<size_t>(uop.srcs[static_cast<size_t>(i)])];
-        }
-    }
-    auto writeDst = [&](MReg dst, int64_t value) {
-        reg(dst) = value;
-        if (tracing)
-            frame.lastWriter[static_cast<size_t>(dst)] = t.seq;
+    const bool traced_ctx = ctx.id == 0;
+    const bool tracing = traced_ctx && sink != nullptr;
+
+    // The current frame, cached. `pc` is its uop offset, written back
+    // when the quantum ends; `loadFrame` reloads everything after a
+    // call, a return or an abort.
+    Frame *frame;
+    const MUop *code;
+    size_t code_len;
+    int64_t *regs;
+    size_t num_regs;
+    uint64_t *writers;
+    uint64_t pc_base;
+    int pc;
+    const auto loadFrame = [&] {
+        frame = &ctx.top();
+        const MachineFunction &fn = *frame->fn;
+        code = fn.code.data();
+        code_len = fn.code.size();
+        regs = frame->regs.data();
+        num_regs = frame->regs.size();
+        writers = frame->lastWriter.data();
+        pc_base = globalPc(fn.methodId, 0);
+        pc = frame->pc;
+    };
+    loadFrame();
+
+    // Forced inline: at -O2 the assert's message formatting would
+    // otherwise keep these out of line, a call per operand.
+    const auto reg = [&](MReg r) __attribute__((always_inline))
+        -> int64_t & {
+        AREGION_ASSERT(r >= 0 && static_cast<size_t>(r) < num_regs,
+                       "machine register out of range");
+        return regs[static_cast<size_t>(r)];
     };
 
-    int next_pc = frame.pc + 1;
-
-    switch (uop.kind) {
-      case MKind::Imm:
-        writeDst(uop.dst, uop.imm);
-        break;
-      case MKind::Mov:
-        writeDst(uop.dst, reg(uop.srcs[0]));
-        break;
-      case MKind::Alu: {
-        const int64_t a = reg(uop.srcs[0]);
-        const int64_t b = reg(uop.srcs[1]);
-        int64_t out = 0;
-        switch (uop.alu) {
-          case AluOp::Add: out = arith::javaAdd(a, b); break;
-          case AluOp::Sub: out = arith::javaSub(a, b); break;
-          case AluOp::Mul:
-            out = arith::javaMul(a, b);
-            t.lat = LatClass::Mul;
-            break;
-          case AluOp::Div:
-            if (b == 0)
-                raiseTrap(ctx, TrapKind::DivideByZero, uop);
-            out = arith::javaDiv(a, b);
-            t.lat = LatClass::Div;
-            break;
-          case AluOp::Rem:
-            if (b == 0)
-                raiseTrap(ctx, TrapKind::DivideByZero, uop);
-            out = arith::javaRem(a, b);
-            t.lat = LatClass::Div;
-            break;
-          case AluOp::And: out = a & b; break;
-          case AluOp::Or: out = a | b; break;
-          case AluOp::Xor: out = a ^ b; break;
-          case AluOp::Shl: out = arith::javaShl(a, b); break;
-          case AluOp::Shr: out = arith::javaShr(a, b); break;
-          case AluOp::CmpEq: out = a == b; break;
-          case AluOp::CmpNe: out = a != b; break;
-          case AluOp::CmpLt: out = a < b; break;
-          case AluOp::CmpLe: out = a <= b; break;
-          case AluOp::CmpGt: out = a > b; break;
-          case AluOp::CmpGe: out = a >= b; break;
-          case AluOp::CmpULt:
-            out = static_cast<uint64_t>(a) < static_cast<uint64_t>(b);
-            break;
-        }
-        writeDst(uop.dst, out);
-        break;
-      }
-
-      case MKind::Load: {
-        const auto base = checkRef(ctx, reg(uop.srcs[0]), uop);
-        uint64_t addr = base + static_cast<uint64_t>(uop.imm);
-        if (uop.srcs.size() > 1)
-            addr += static_cast<uint64_t>(reg(uop.srcs[1]));
-        t.isLoad = true;
-        t.lat = LatClass::Load;
-        t.memAddr = addr;
-        writeDst(uop.dst, memRead(ctx, addr));
-        break;
-      }
-      case MKind::Store: {
-        const auto base = checkRef(ctx, reg(uop.srcs[0]), uop);
-        uint64_t addr = base + static_cast<uint64_t>(uop.imm);
-        if (uop.srcs.size() > 2)
-            addr += static_cast<uint64_t>(reg(uop.srcs[1]));
-        const int64_t value = reg(uop.srcs.back());
-        t.isStore = true;
-        t.lat = LatClass::Store;
-        t.memAddr = addr;
-        AREGION_ASSERT(heapImpl.inBounds(addr) || ctx.spec.active,
-                       "non-speculative wild store");
-        memWrite(ctx, addr, value);
-        break;
-      }
-
-      case MKind::Br: {
-        const bool cond = reg(uop.srcs[0]) != 0;
-        const bool take = uop.brIfZero ? !cond : cond;
-        t.isBranch = true;
-        t.lat = LatClass::Branch;
-        t.taken = take;
-        if (take) {
-            next_pc = uop.target;
-            t.targetPc = globalPc(frame.fn->methodId, uop.target);
-        } else {
-            t.targetPc = pc + 1;
-        }
-        break;
-      }
-      case MKind::Jmp:
-        next_pc = uop.target;
-        break;
-
-      case MKind::CallDirect:
-      case MKind::CallIndirect: {
-        AREGION_ASSERT(!ctx.spec.active,
-                       "call inside atomic region");
-        vm::MethodId callee;
-        std::vector<int64_t> &argv = ctx.argScratch;
-        argv.clear();
-        if (uop.kind == MKind::CallDirect) {
-            callee = uop.aux;
-            for (MReg r : uop.srcs)
-                argv.push_back(reg(r));
-        } else {
-            callee = static_cast<vm::MethodId>(reg(uop.srcs[0]));
-            AREGION_ASSERT(callee >= 0 &&
-                           callee < mp.prog->numMethods(),
-                           "indirect call to bad method id ", callee);
-            t.indirect = true;
-            t.targetPc = globalPc(callee, 0);
-            for (size_t i = 1; i < uop.srcs.size(); ++i)
-                argv.push_back(reg(uop.srcs[i]));
-        }
-        frame.pc = next_pc;     // return continuation
-        if (tracing)
-            pushTrace(t);
-        invoke(ctx, callee, argv.data(), argv.size(), uop.dst,
-               t.seq);
-        return;
-      }
-      case MKind::Ret: {
-        AREGION_ASSERT(!ctx.spec.active,
-                       "return inside atomic region");
-        std::optional<int64_t> value;
-        if (!uop.srcs.empty())
-            value = reg(uop.srcs[0]);
-        const MReg ret_dst = frame.retDst;
-        --ctx.depth;
-        if (ctx.depth == 0) {
-            ctx.finished = true;
-        } else if (ret_dst != NO_MREG) {
-            AREGION_ASSERT(value.has_value(),
-                           "void return into destination");
-            Frame &caller = ctx.top();
-            caller.regs[static_cast<size_t>(ret_dst)] = *value;
-            if (tracing) {
-                caller.lastWriter[static_cast<size_t>(ret_dst)] =
-                    t.seq;
+    // A blocked monitor enter and the context's last return end the
+    // quantum early.
+    bool stop = false;
+    const uint64_t quantum = config.quantum;
+    for (uint64_t q = 0; q < quantum && !stop; ++q) {
+        // Asynchronous conflict aborts land between instructions —
+        // and take priority over stalls, so a conflict arriving while
+        // a commit is artificially held open kills the region.
+        if (ctx.pendingAbort) [[unlikely]] {
+            const AbortCause cause = *ctx.pendingAbort;
+            ctx.pendingAbort.reset();
+            if (ctx.spec.active) {
+                doAbort(ctx, cause, -1,
+                        pc_base | static_cast<uint64_t>(pc));
+                loadFrame();
+                continue;
             }
         }
-        if (tracing)
-            pushTrace(t);
-        return;
-      }
 
-      case MKind::Cas: {
-        const auto base = checkRef(ctx, reg(uop.srcs[0]), uop);
-        const uint64_t addr = base + static_cast<uint64_t>(uop.imm);
-        t.isLoad = true;
-        t.isStore = true;
-        t.serializing = true;
-        t.lat = LatClass::Serial;
-        t.memAddr = addr;
-        const int64_t old = memRead(ctx, addr);
-        if (old == 0) {
-            memWrite(ctx, addr, reg(uop.srcs[1]));
-            if (ctx.id == 0)
-                result.monitorFastEnters++;
+        // Stalled (injected commit latency or contention backoff):
+        // burn the step. It counts as machine progress so the
+        // deadlock detector and the uop budget both see the stall,
+        // but it does not tick the interrupt clock or the
+        // executed-uop counters.
+        if (ctx.stallSteps > 0) [[unlikely]] {
+            --ctx.stallSteps;
+            result.allContextUops++;
+            continue;
         }
-        writeDst(uop.dst, old);
-        break;
-      }
-      case MKind::TidWord:
-        writeDst(uop.dst, layout::lockWord(ctx.id, 1));
-        break;
-      case MKind::LockSlow: {
-        if (ctx.spec.active)
-            throw RegionAbort{AbortCause::Exception, -1};
-        const auto obj = checkRef(ctx, reg(uop.srcs[0]), uop);
-        const uint64_t lock_addr = obj + layout::HDR_LOCK;
-        const int64_t word = heapImpl.load(lock_addr);
-        const int owner = layout::lockOwner(word);
-        t.serializing = true;
-        t.lat = LatClass::Serial;
-        if (owner == -1) {
-            memWrite(ctx, lock_addr, layout::lockWord(ctx.id, 1));
-        } else if (owner == ctx.id) {
-            memWrite(ctx, lock_addr, layout::lockWord(
-                ctx.id, layout::lockDepth(word) + 1));
-        } else {
-            // Stay blocked at this uop; the scheduler retries.
-            ctx.blockedOn = obj;
-            return;
+
+        AREGION_ASSERT(pc >= 0 && static_cast<size_t>(pc) < code_len,
+                       "machine pc fell off ", frame->fn->name);
+        const MUop &uop = code[pc];
+
+        // Blocked on a monitor: retry only when it may be free.
+        if (ctx.blockedOn != 0) [[unlikely]] {
+            const int64_t word =
+                heapImpl.load(ctx.blockedOn + layout::HDR_LOCK);
+            const int owner = layout::lockOwner(word);
+            if (owner != -1 && owner != ctx.id)
+                break;          // still held elsewhere
+            ctx.blockedOn = 0;
         }
-        ctx.blockedOn = 0;
-        break;
-      }
-      case MKind::UnlockSlow: {
-        if (ctx.spec.active)
-            throw RegionAbort{AbortCause::Exception, -1};
-        const auto obj = checkRef(ctx, reg(uop.srcs[0]), uop);
-        const uint64_t lock_addr = obj + layout::HDR_LOCK;
-        const int64_t word = heapImpl.load(lock_addr);
-        AREGION_ASSERT(layout::lockOwner(word) == ctx.id,
-                       "unlock by non-owner");
-        const int64_t depth = layout::lockDepth(word) - 1;
-        t.serializing = true;
-        t.lat = LatClass::Serial;
-        memWrite(ctx, lock_addr,
-                 depth == 0 ? 0 : layout::lockWord(ctx.id, depth));
-        break;
-      }
 
-      case MKind::Alloc: {
-        uint64_t addr;
-        if (uop.imm == 0) {
-            const int fields = heapImpl.fieldCount(uop.aux);
-            addr = heapImpl.allocRaw(static_cast<uint64_t>(
-                layout::OBJ_FIELD_BASE + fields));
-            memWrite(ctx, addr + layout::HDR_CLASS, uop.aux);
-        } else {
-            const int64_t len = reg(uop.srcs[0]);
-            if (len < 0)
-                raiseTrap(ctx, TrapKind::NegativeArraySize, uop);
-            addr = heapImpl.allocRaw(static_cast<uint64_t>(
-                layout::ARR_ELEM_BASE + len));
-            memWrite(ctx, addr + layout::HDR_CLASS,
-                     layout::ARRAY_CLASS);
-            memWrite(ctx, addr + layout::ARR_LEN, len);
-        }
-        t.isStore = true;
-        t.lat = LatClass::Store;
-        t.memAddr = addr;
-        writeDst(uop.dst, static_cast<int64_t>(addr));
-        break;
-      }
-
-      case MKind::YieldLoad: {
-        const uint64_t addr = heapImpl.yieldFlagAddr(ctx.id);
-        t.isLoad = true;
-        t.lat = LatClass::Load;
-        t.memAddr = addr;
-        writeDst(uop.dst, memRead(ctx, addr));
-        break;
-      }
-
-      case MKind::Print:
-        if (ctx.spec.active)
-            throw RegionAbort{AbortCause::Io, -1};
-        result.output.push_back(reg(uop.srcs[0]));
-        break;
-      case MKind::Marker:
-        if (ctx.spec.active)
-            throw RegionAbort{AbortCause::Io, -1};
-        if (ctx.id == 0) {
-            result.markers.push_back(
-                {uop.imm,
-                 result.executedUops - result.discardedUops});
-            if (sink) {
-                flushTrace();
-                sink->marker(uop.imm);
-            }
-        }
-        break;
-      case MKind::Spawn: {
-        if (ctx.spec.active)
-            throw RegionAbort{AbortCause::Io, -1};
-        AREGION_ASSERT(ctxs.size() <
-                           static_cast<size_t>(config.maxContexts),
-                       "context limit exceeded");
-        std::vector<int64_t> &argv = ctx.argScratch;
-        argv.clear();
-        for (MReg r : uop.srcs)
-            argv.push_back(reg(r));
-        // ctxs is reserved to maxContexts up front, so this never
-        // reallocates under the live `ctx`/`frame` references.
-        ctxs.emplace_back();
-        Ctx &fresh = ctxs.back();
-        fresh.id = static_cast<int>(ctxs.size()) - 1;
-        initCtx(fresh);
-        invoke(fresh, uop.aux, argv.data(), argv.size(), NO_MREG, 0);
-        break;
-      }
-
-      case MKind::Trap:
-        raiseTrap(ctx, static_cast<TrapKind>(uop.aux), uop);
-        break;
-
-      case MKind::ABegin: {
-        AREGION_ASSERT(!ctx.spec.active, "nested atomic region");
-        Spec &spec = ctx.spec;
-        spec.active = true;
-        spec.regionId = uop.aux;
-        spec.method = frame.fn->methodId;
-        spec.altPc = uop.target;
-        spec.beginPc = pc;
-        spec.uops = 0;
-        spec.capLines = config.l1Lines;
-        spec.regsSnapshot = frame.regs;
-        spec.writersSnapshot = frame.lastWriter;
-        spec.storeBuf.beginEpoch();
-        spec.readLines.beginEpoch();
-        spec.writeLines.beginEpoch();
-        spec.setOccupancy.beginEpoch();
-        spec.stats = &result.regions[{spec.method, spec.regionId}];
-        spec.stats->entries++;
-        result.regionEntries++;
-        t.region = RegionEvent::Begin;
-        t.regionId = uop.aux;
-        if (oracle) {
-            oracle->captureBegin(ctx.id, ctxs.size(), frame.regs,
-                                 uop.target, heapImpl);
-        }
-        if (injectOn) {
-            // Artificial capacity pressure: shrink this region's
-            // effective line budget (payload = lines; default one
-            // way's worth, which overflows almost immediately).
-            if (fpCapacity && fpCapacity.fire()) {
-                result.injectedCapacity++;
-                const int64_t lines = fpCapacity.value();
-                spec.capLines =
-                    lines > 0 ? static_cast<int>(std::min<int64_t>(
-                                    lines, config.l1Lines))
-                              : config.l1Assoc;
-            }
-            // Forced assert failure: the region aborts explicitly
-            // before its first instruction, as if a compiler assert
-            // at the region head fired (payload = assert id).
-            if (fpAssert && fpAssert.fire()) {
-                result.injectedAsserts++;
-                const int64_t id = fpAssert.value();
-                throw RegionAbort{AbortCause::Explicit,
-                                  id > 0 ? static_cast<int>(id) : -1};
-            }
-        }
-        break;
-      }
-      case MKind::AEnd:
-        AREGION_ASSERT(ctx.spec.active,
-                       "aregion_end without begin");
-        if (injectOn) {
-            // Injected commit latency: hold the region open for a
-            // stall (payload = steps; default one quantum) before
-            // re-executing this AEnd, so other contexts commit or
-            // conflict into the window. One draw per region.
-            if (fpCommitStall && !ctx.commitStalled) {
-                ctx.commitStalled = true;
-                if (fpCommitStall.fire()) {
-                    result.injectedCommitStalls++;
-                    const int64_t steps = fpCommitStall.value();
-                    ctx.stallSteps =
-                        steps > 0 ? static_cast<uint64_t>(steps)
-                                  : config.quantum;
-                    return;     // pc unchanged; AEnd retries
-                }
-            }
-            // Forced conflict: the commit point loses an ownership
-            // race that real contention would have produced.
-            if (fpConflict && fpConflict.fire()) {
-                result.injectedConflicts++;
-                throw RegionAbort{AbortCause::Conflict, -1};
-            }
-        }
-        t.region = RegionEvent::End;
-        t.regionId = uop.aux;
-        frame.pc = next_pc;
-        if (tracing)
-            pushTrace(t);
-        commitRegion(ctx);
-        return;
-      case MKind::AAbort:
-        throw RegionAbort{AbortCause::Explicit, uop.aux};
-
-      case MKind::Nop:
-        break;
-    }
-
-    frame.pc = next_pc;
-    if (tracing)
-        pushTrace(t);
-}
-
-void
-Machine::step(Ctx &ctx)
-{
-    // Asynchronous conflict aborts land between instructions — and
-    // take priority over stalls, so a conflict arriving while a
-    // commit is artificially held open kills the region.
-    if (ctx.pendingAbort) {
-        const AbortCause cause = *ctx.pendingAbort;
-        ctx.pendingAbort.reset();
-        if (ctx.spec.active) {
-            doAbort(ctx, cause, -1,
-                    globalPc(ctx.top().fn->methodId, ctx.top().pc));
-            return;
-        }
-    }
-
-    // Stalled (injected commit latency or contention backoff): burn
-    // the step. It counts as machine progress so the deadlock
-    // detector and the uop budget both see the stall, but it does
-    // not tick the interrupt clock or the executed-uop counters.
-    if (ctx.stallSteps > 0) {
-        --ctx.stallSteps;
-        ++machineUops;
+        const uint64_t upc = pc_base | static_cast<uint64_t>(pc);
         result.allContextUops++;
-        return;
-    }
-
-    Frame &frame = ctx.top();
-    const auto &code = frame.fn->code;
-    AREGION_ASSERT(frame.pc >= 0 &&
-                   static_cast<size_t>(frame.pc) < code.size(),
-                   "machine pc fell off ", frame.fn->name);
-    const MUop &uop = code[static_cast<size_t>(frame.pc)];
-
-    // Blocked on a monitor: retry only when it may be free.
-    if (ctx.blockedOn != 0) {
-        const int64_t word =
-            heapImpl.load(ctx.blockedOn + layout::HDR_LOCK);
-        const int owner = layout::lockOwner(word);
-        if (owner != -1 && owner != ctx.id)
-            return;             // still held elsewhere
-        ctx.blockedOn = 0;
-    }
-
-    const uint64_t pc = globalPc(frame.fn->methodId, frame.pc);
-    ++machineUops;
-    --interruptCountdown;
-    result.allContextUops++;
-    if (ctx.id == 0)
-        result.executedUops++;
-    if (ctx.spec.active)
-        ctx.spec.uops++;
-
-    try {
-        execute(ctx, uop, pc);
-    } catch (const RegionAbort &abort) {
-        AREGION_ASSERT(ctx.spec.active,
-                       "region abort outside region");
-        // An interrupt slot coinciding with an abort is absorbed by
-        // the abort (the region is already gone).
-        if (interruptCountdown == 0)
-            interruptCountdown = config.interruptPeriod;
-        doAbort(ctx, abort.cause, abort.abortId, pc);
-        return;
-    }
-
-    // Timer interrupt: aborts any in-flight region on this context.
-    if (interruptCountdown == 0) {
-        interruptCountdown = config.interruptPeriod;
+        --interruptCountdown;
+        if (traced_ctx)
+            result.executedUops++;
         if (ctx.spec.active)
-            doAbort(ctx, AbortCause::Interrupt, -1, pc);
-    }
+            ctx.spec.uops++;
 
-    // Injected spurious interrupt/context switch: one failpoint hit
-    // per speculative uop, so `p` rates scale with region length.
-    if (injectOn && fpInterrupt && ctx.spec.active &&
-        fpInterrupt.fire()) {
-        result.injectedInterrupts++;
-        doAbort(ctx, AbortCause::Interrupt, -1, pc);
+        TraceUop t;
+        if (tracing) {
+            t.seq = ++tracedSeq;
+            t.pc = upc;
+            t.numSrcs = static_cast<int>(
+                std::min<size_t>(uop.srcs.size(), 3));
+            for (int i = 0; i < t.numSrcs; ++i) {
+                t.srcSeq[i] = writers[static_cast<size_t>(
+                    uop.srcs[static_cast<size_t>(i)])];
+            }
+        }
+        const auto writeDst = [&](MReg dst, int64_t value)
+            __attribute__((always_inline)) {
+            reg(dst) = value;
+            if (tracing)
+                writers[static_cast<size_t>(dst)] = t.seq;
+        };
+
+        // The frame continues at `next_pc` once the uop completes, and
+        // the uop's trace entry is delivered then. A uop that does not
+        // complete stays at pc and re-executes: a blocked monitor
+        // enter, a commit held open by an injected stall.
+        int next_pc = pc + 1;
+        bool completed = true;
+        try {
+            switch (uop.kind) {
+              case MKind::Imm:
+                writeDst(uop.dst, uop.imm);
+                break;
+              case MKind::Mov:
+                writeDst(uop.dst, reg(uop.srcs[0]));
+                break;
+              case MKind::Alu: {
+                const int64_t a = reg(uop.srcs[0]);
+                const int64_t b = reg(uop.srcs[1]);
+                int64_t out = 0;
+                switch (uop.alu) {
+                  case AluOp::Add: out = arith::javaAdd(a, b); break;
+                  case AluOp::Sub: out = arith::javaSub(a, b); break;
+                  case AluOp::Mul:
+                    out = arith::javaMul(a, b);
+                    t.lat = LatClass::Mul;
+                    break;
+                  case AluOp::Div:
+                    if (b == 0)
+                        raiseTrap(ctx, TrapKind::DivideByZero, uop);
+                    out = arith::javaDiv(a, b);
+                    t.lat = LatClass::Div;
+                    break;
+                  case AluOp::Rem:
+                    if (b == 0)
+                        raiseTrap(ctx, TrapKind::DivideByZero, uop);
+                    out = arith::javaRem(a, b);
+                    t.lat = LatClass::Div;
+                    break;
+                  case AluOp::And: out = a & b; break;
+                  case AluOp::Or: out = a | b; break;
+                  case AluOp::Xor: out = a ^ b; break;
+                  case AluOp::Shl: out = arith::javaShl(a, b); break;
+                  case AluOp::Shr: out = arith::javaShr(a, b); break;
+                  case AluOp::CmpEq: out = a == b; break;
+                  case AluOp::CmpNe: out = a != b; break;
+                  case AluOp::CmpLt: out = a < b; break;
+                  case AluOp::CmpLe: out = a <= b; break;
+                  case AluOp::CmpGt: out = a > b; break;
+                  case AluOp::CmpGe: out = a >= b; break;
+                  case AluOp::CmpULt:
+                    out = static_cast<uint64_t>(a) <
+                          static_cast<uint64_t>(b);
+                    break;
+                }
+                writeDst(uop.dst, out);
+                break;
+              }
+
+              case MKind::Load: {
+                const auto base = checkRef(ctx, reg(uop.srcs[0]), uop);
+                uint64_t addr = base + static_cast<uint64_t>(uop.imm);
+                if (uop.srcs.size() > 1)
+                    addr += static_cast<uint64_t>(reg(uop.srcs[1]));
+                t.isLoad = true;
+                t.lat = LatClass::Load;
+                t.memAddr = addr;
+                writeDst(uop.dst, memRead(ctx, addr));
+                break;
+              }
+              case MKind::Store: {
+                const auto base = checkRef(ctx, reg(uop.srcs[0]), uop);
+                uint64_t addr = base + static_cast<uint64_t>(uop.imm);
+                if (uop.srcs.size() > 2)
+                    addr += static_cast<uint64_t>(reg(uop.srcs[1]));
+                const int64_t value = reg(uop.srcs.back());
+                t.isStore = true;
+                t.lat = LatClass::Store;
+                t.memAddr = addr;
+                AREGION_ASSERT(heapImpl.inBounds(addr) || ctx.spec.active,
+                               "non-speculative wild store");
+                memWrite(ctx, addr, value);
+                break;
+              }
+              case MKind::YieldLoad: {
+                const uint64_t addr = heapImpl.yieldFlagAddr(ctx.id);
+                t.isLoad = true;
+                t.lat = LatClass::Load;
+                t.memAddr = addr;
+                writeDst(uop.dst, memRead(ctx, addr));
+                break;
+              }
+
+              case MKind::Br: {
+                const bool cond = reg(uop.srcs[0]) != 0;
+                const bool take = uop.brIfZero ? !cond : cond;
+                t.isBranch = true;
+                t.lat = LatClass::Branch;
+                t.taken = take;
+                if (take) {
+                    next_pc = uop.target;
+                    t.targetPc =
+                        pc_base | static_cast<uint64_t>(uop.target);
+                } else {
+                    t.targetPc = upc + 1;
+                }
+                break;
+              }
+              case MKind::Jmp:
+                next_pc = uop.target;
+                break;
+              case MKind::Nop:
+                break;
+
+              // A call or return changes the frame; the trace entry
+              // goes out after it, which no sink can tell apart.
+              case MKind::CallDirect:
+              case MKind::CallIndirect:
+                call(ctx, uop, t, next_pc);
+                loadFrame();
+                next_pc = pc;
+                break;
+              case MKind::Ret:
+                ret(ctx, uop, t.seq);
+                if (ctx.finished) {
+                    stop = true;
+                } else {
+                    loadFrame();
+                    next_pc = pc;
+                }
+                break;
+
+              case MKind::Cas: {
+                const auto base = checkRef(ctx, reg(uop.srcs[0]), uop);
+                const uint64_t addr =
+                    base + static_cast<uint64_t>(uop.imm);
+                t.isLoad = true;
+                t.isStore = true;
+                t.serializing = true;
+                t.lat = LatClass::Serial;
+                t.memAddr = addr;
+                const int64_t old = memRead(ctx, addr);
+                if (old == 0) {
+                    memWrite(ctx, addr, reg(uop.srcs[1]));
+                    if (traced_ctx)
+                        result.monitorFastEnters++;
+                }
+                writeDst(uop.dst, old);
+                break;
+              }
+              case MKind::TidWord:
+                writeDst(uop.dst, layout::lockWord(ctx.id, 1));
+                break;
+              case MKind::LockSlow:
+                if (!monitorEnter(ctx, uop, t)) {
+                    completed = false;
+                    stop = true;
+                }
+                break;
+              case MKind::UnlockSlow:
+                monitorExit(ctx, uop, t);
+                break;
+
+              case MKind::Alloc:
+                writeDst(uop.dst,
+                         static_cast<int64_t>(allocate(ctx, uop, t)));
+                break;
+              case MKind::Print:
+                if (ctx.spec.active)
+                    throw RegionAbort{AbortCause::Io, -1};
+                result.output.push_back(reg(uop.srcs[0]));
+                break;
+              case MKind::Marker:
+                crossMarker(ctx, uop);
+                break;
+              case MKind::Spawn:
+                spawn(ctx, uop);
+                break;
+              case MKind::Trap:
+                raiseTrap(ctx, static_cast<TrapKind>(uop.aux), uop);
+                break;
+
+              case MKind::ABegin:
+                beginRegion(ctx, uop, upc);
+                t.region = RegionEvent::Begin;
+                t.regionId = uop.aux;
+                break;
+              case MKind::AEnd:
+                AREGION_ASSERT(ctx.spec.active,
+                               "aregion_end without begin");
+                if (injectOn && injectAtCommit(ctx)) {
+                    completed = false;
+                    break;
+                }
+                t.region = RegionEvent::End;
+                t.regionId = uop.aux;
+                commitRegion(ctx);
+                break;
+              case MKind::AAbort:
+                throw RegionAbort{AbortCause::Explicit, uop.aux};
+            }
+        } catch (const RegionAbort &abort) {
+            AREGION_ASSERT(ctx.spec.active,
+                           "region abort outside region");
+            // An interrupt slot coinciding with an abort is absorbed
+            // by the abort (the region is already gone).
+            if (interruptCountdown == 0)
+                interruptCountdown = config.interruptPeriod;
+            doAbort(ctx, abort.cause, abort.abortId, upc);
+            loadFrame();
+            continue;
+        }
+        if (completed) {
+            pc = next_pc;
+            if (tracing)
+                pushTrace(t);
+        }
+
+        // Timer interrupt: aborts any in-flight region on this context.
+        if (interruptCountdown == 0) [[unlikely]] {
+            interruptCountdown = config.interruptPeriod;
+            if (ctx.spec.active) {
+                doAbort(ctx, AbortCause::Interrupt, -1, upc);
+                loadFrame();
+            }
+        }
+
+        // Injected spurious interrupt/context switch: one failpoint hit
+        // per speculative uop, so `p` rates scale with region length.
+        if (injectOn && fpInterrupt && ctx.spec.active &&
+            fpInterrupt.fire()) {
+            result.injectedInterrupts++;
+            doAbort(ctx, AbortCause::Interrupt, -1, upc);
+            loadFrame();
+        }
     }
+    if (!ctx.finished)
+        frame->pc = pc;
 }
 
 void
@@ -937,7 +1031,6 @@ Machine::run(uint64_t max_uops)
     // Spawn pushes new contexts while references into `ctxs` are
     // live, so the vector must never reallocate mid-run.
     ctxs.reserve(static_cast<size_t>(config.maxContexts));
-    machineUops = 0;
     tracedSeq = 0;
     interruptCountdown = config.interruptPeriod;
     batch.clear();
@@ -955,19 +1048,14 @@ Machine::run(uint64_t max_uops)
         oracle->onRunStart(heapImpl);
 
     try {
-        while (!ctxs[0].finished && machineUops < max_uops) {
+        // The budget and the deadlock detector count scheduler steps
+        // of every context (uops and stall steps alike).
+        while (!ctxs[0].finished && result.allContextUops < max_uops) {
             bool progressed = false;
             for (size_t c = 0; c < ctxs.size(); ++c) {
-                Ctx &ctx = ctxs[c];
-                const uint64_t before = machineUops;
-                for (uint64_t q = 0; q < config.quantum; ++q) {
-                    if (ctx.finished || ctxs[0].finished)
-                        break;
-                    step(ctx);
-                    if (ctx.blockedOn != 0)
-                        break;
-                }
-                if (machineUops != before)
+                const uint64_t before = result.allContextUops;
+                runQuantum(ctxs[c]);
+                if (result.allContextUops != before)
                     progressed = true;
             }
             if (!progressed && !ctxs[0].finished) {

@@ -215,6 +215,9 @@ class Machine
         std::vector<uint64_t> lastWriter;   ///< reg -> producer seq
         int pc = 0;
         MReg retDst = NO_MREG;
+
+        /** Register `r`, bound-checked like every operand. */
+        int64_t &reg(MReg r);
     };
 
     /**
@@ -277,8 +280,42 @@ class Machine
     };
 
     void initCtx(Ctx &ctx);
-    void step(Ctx &ctx);
-    void execute(Ctx &ctx, const MUop &uop, uint64_t pc);
+
+    /**
+     * Run `ctx` for one scheduler quantum: HwConfig::quantum steps,
+     * fewer when it blocks on a monitor or returns from its last
+     * frame. A step delivers a pending conflict abort, burns one
+     * stall step, or retries a blocked monitor and then executes one
+     * uop, followed by the timer and the injected interrupt. The
+     * current frame's code, registers, last writers and pc live in
+     * locals, reloaded only after a uop that changes the frame (call,
+     * return, abort). The uncommon uops below run out of line.
+     */
+    void runQuantum(Ctx &ctx);
+
+    /** CallDirect/CallIndirect: save `next_pc` as the continuation
+     *  and push the callee's frame. The call's trace entry `t` is
+     *  the producer of the callee's argument registers. */
+    void call(Ctx &ctx, const MUop &uop, TraceUop &t, int next_pc);
+    /** Ret: pop the frame (the context finishes on its last) and
+     *  write the caller's destination register, produced by the
+     *  return's trace entry `seq`. */
+    void ret(Ctx &ctx, const MUop &uop, uint64_t seq);
+    /** LockSlow; false when the monitor is held by another context
+     *  (the context blocks at this uop). */
+    bool monitorEnter(Ctx &ctx, const MUop &uop, TraceUop &t);
+    void monitorExit(Ctx &ctx, const MUop &uop, TraceUop &t);
+    /** Alloc; returns the new object's or array's address. */
+    uint64_t allocate(Ctx &ctx, const MUop &uop, TraceUop &t);
+    void crossMarker(Ctx &ctx, const MUop &uop);
+    void spawn(Ctx &ctx, const MUop &uop);
+    /** ABegin: checkpoint the registers and open region `uop.aux`;
+     *  `pc` is the begin's global pc. */
+    void beginRegion(Ctx &ctx, const MUop &uop, uint64_t pc);
+    /** The failpoints of an AEnd; true when an injected commit stall
+     *  holds the region open (the AEnd re-executes after it). */
+    bool injectAtCommit(Ctx &ctx);
+
     void invoke(Ctx &ctx, vm::MethodId callee, const int64_t *argv,
                 size_t argc, MReg ret_dst, uint64_t call_seq);
     /**
@@ -381,7 +418,6 @@ class Machine
     vm::Heap heapImpl;
     std::vector<Ctx> ctxs;
     MachineResult result;
-    uint64_t machineUops = 0;       ///< all contexts (interrupt clock)
     uint64_t tracedSeq = 0;         ///< trace sequence for context 0
     uint64_t interruptCountdown = 0;
 

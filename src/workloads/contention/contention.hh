@@ -99,7 +99,6 @@ struct CellResult
     uint64_t allContextUops = 0;
 
     uint64_t backoffSteps = 0;
-    uint64_t starvationBoosts = 0;
     uint64_t livelockBreaks = 0;
 
     uint64_t oracleCommitChecks = 0;

@@ -150,7 +150,6 @@ runContentionCell(const ContentionWorkload &workload,
     cell.injectedCommitStalls = res.injectedCommitStalls;
     cell.allContextUops = res.allContextUops;
     cell.backoffSteps = governor.backoffSteps();
-    cell.starvationBoosts = governor.starvationBoosts();
     cell.livelockBreaks = governor.livelockBreaks();
     cell.oracleCommitChecks = oracle.commitChecks();
     cell.oracleConflictHeapChecks = oracle.conflictHeapChecks();

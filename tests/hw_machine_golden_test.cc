@@ -4,8 +4,10 @@
  * workload's architectural results — output checksum, retired uops,
  * region entry/commit/abort tallies, and a fingerprint over the
  * per-static-region statistics — must reproduce the values recorded
- * from the seed simulator bit-for-bit. The interpreter runs the same
- * input as an independent cross-check of the output stream.
+ * from the seed simulator bit-for-bit, and so must a digest of the
+ * traced uop stream the timing model receives and that model's cycle
+ * count. The interpreter runs the same input as an independent
+ * cross-check of the output stream.
  *
  * Performance work on the machine hot loop (flat speculative state,
  * frame pooling, trace batching) must never move these numbers; an
@@ -33,6 +35,8 @@ struct GoldenEntry
     uint64_t regionCommits;
     uint64_t regionAborts;
     uint64_t regionFingerprint;
+    uint64_t traceDigest;
+    uint64_t cycles;
 };
 
 /**
@@ -54,22 +58,32 @@ PrintTo(const GoldenEntry &entry, std::ostream *os)
  * counts shifted (antlr +2.7% .. jython -1.3%) because phi-web
  * coalescing in out-of-SSA lowering emits different copy sequences
  * than the old copy-propagation pass. See docs/PERFORMANCE.md.
+ * The last two columns (the traced run's digest and cycle count)
+ * were added later, recorded from the per-uop step/execute machine
+ * before the quantum loop replaced it.
  */
 constexpr GoldenEntry kGolden[] = {
     {"antlr", 0xe537396aa2456226ull, 0xe537396aa2456226ull,
-     2286668ull, 4616ull, 4614ull, 2ull, 0xc4b45b6b1fb0d136ull},
+     2286668ull, 4616ull, 4614ull, 2ull, 0xc4b45b6b1fb0d136ull,
+     0xfea2849991911268ull, 1874372ull},
     {"bloat", 0x347910dea1e75a8dull, 0x347910dea1e75a8dull,
-     878513ull, 15325ull, 14649ull, 676ull, 0x52fab2877415cde6ull},
+     878513ull, 15325ull, 14649ull, 676ull, 0x52fab2877415cde6ull,
+     0x24a11487f281e0c7ull, 351953ull},
     {"fop", 0xd583eb162fb52291ull, 0xd583eb162fb52291ull,
-     787945ull, 26169ull, 26169ull, 0ull, 0x5dda5709f0bdec87ull},
+     787945ull, 26169ull, 26169ull, 0ull, 0x5dda5709f0bdec87ull,
+     0xbbd827a50cbe95c0ull, 1114195ull},
     {"hsqldb", 0x938a803d9de71a01ull, 0x938a803d9de71a01ull,
-     522897ull, 9001ull, 8930ull, 71ull, 0x5e030149a6dc4db6ull},
+     522897ull, 9001ull, 8930ull, 71ull, 0x5e030149a6dc4db6ull,
+     0x7216ac644c9c4115ull, 388369ull},
     {"jython", 0xcccadb78262fa42cull, 0xcccadb78262fa42cull,
-     3117428ull, 17377ull, 17241ull, 136ull, 0x7f1a3f03ada0166dull},
+     3117428ull, 17377ull, 17241ull, 136ull, 0x7f1a3f03ada0166dull,
+     0x25c7d7f5737761f3ull, 953642ull},
     {"pmd", 0x3ffad97f43b44b1dull, 0x3ffad97f43b44b1dull,
-     352818ull, 1863ull, 1713ull, 150ull, 0xe503c0f0986aa508ull},
+     352818ull, 1863ull, 1713ull, 150ull, 0xe503c0f0986aa508ull,
+     0x2be7bbe3e8e8bf34ull, 209904ull},
     {"xalan", 0x171515e7d6be1452ull, 0x171515e7d6be1452ull,
-     2163574ull, 12034ull, 11957ull, 77ull, 0x8db6627425f58b8eull},
+     2163574ull, 12034ull, 11957ull, 77ull, 0x8db6627425f58b8eull,
+     0xfdc0357b2b935f94ull, 759983ull},
 };
 
 class GoldenWorkload : public ::testing::TestWithParam<GoldenEntry>
@@ -96,6 +110,10 @@ TEST_P(GoldenWorkload, ArchitecturalResultsMatchSeed)
     EXPECT_EQ(row.regionFingerprint, expect.regionFingerprint)
         << "per-region commit/abort tallies moved; regenerate with "
            "tools/golden_gen only for intentional changes";
+    EXPECT_EQ(row.traceDigest, expect.traceDigest)
+        << "the traced uop stream moved (seqs, producers, pcs, flags, "
+           "region events, or batch/abort/marker order)";
+    EXPECT_EQ(row.cycles, expect.cycles);
 }
 
 INSTANTIATE_TEST_SUITE_P(

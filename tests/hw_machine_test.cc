@@ -3,13 +3,16 @@
  * Functional machine simulator tests: codegen structure, executor
  * equivalence with the interpreter (baseline and atomic compiles,
  * including interrupt- and overflow-induced aborts), monitor
- * semantics across contexts, SLE conflict aborts, and region
- * runtime statistics.
+ * semantics across contexts at several scheduler quanta, SLE
+ * conflict aborts, region runtime statistics, and the quantum itself
+ * (results and the traced uop stream must not depend on it; the uop
+ * budget is checked at quantum boundaries).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/compiler.hh"
+#include "golden_harness.hh"
 #include "hw/codegen.hh"
 #include "hw/machine.hh"
 #include "ir/translate.hh"
@@ -239,14 +242,70 @@ TEST(MachineThreads, LockedCounterIsExactAcrossContexts)
     const Program prog = pb.build();
     verifyOrDie(prog);
 
+    Interpreter check(prog);
+    ASSERT_TRUE(check.run().completed);
+    EXPECT_EQ(check.output(), std::vector<int64_t>{600});
+    // Quantum 1 switches contexts after every uop, so monitor hand-offs
+    // and blocked retries land at every possible point.
     for (bool atomic : {false, true}) {
-        SCOPED_TRACE(atomic ? "atomic" : "baseline");
         const auto mp = compileToMachine(
             prog, atomic ? core::CompilerConfig::atomic()
                          : core::CompilerConfig::baseline());
-        const auto res = runMachine(mp);
-        ASSERT_TRUE(res.completed);
-        EXPECT_EQ(res.output, std::vector<int64_t>{600});
+        for (uint64_t quantum : {1, 7, 50}) {
+            SCOPED_TRACE(std::string(atomic ? "atomic" : "baseline") +
+                         " quantum " + std::to_string(quantum));
+            hw::HwConfig config;
+            config.quantum = quantum;
+            const auto res = runMachine(mp, config);
+            ASSERT_TRUE(res.completed);
+            EXPECT_EQ(res.output, check.output());
+        }
+    }
+}
+
+/** Workloads whose measurement run uses one hardware context, so the
+ *  quantum only decides where the scheduler checks the budget. */
+class MachineQuantum : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(MachineQuantum, ResultsAndTraceIgnoreTheQuantum)
+{
+    const GoldenPipeline pipe(workloads::workloadByName(GetParam()));
+    hw::HwConfig config;
+    config.quantum = 1;
+    const GoldenRow reference = pipe.run(config);
+    EXPECT_EQ(reference.outputChecksum, reference.interpChecksum);
+    for (uint64_t quantum : {7, 50, 4096}) {
+        config.quantum = quantum;
+        EXPECT_EQ(pipe.run(config), reference) << "quantum " << quantum;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(OneContext, MachineQuantum,
+                         ::testing::Values("fop", "bloat", "xalan"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+
+TEST(MachineBudget, StopsAtTheFirstQuantumBoundaryPastTheBudget)
+{
+    for (const char *name : {"fop", "xalan"}) {
+        const GoldenPipeline pipe(workloads::workloadByName(name));
+        for (const auto &[quantum, stop] :
+             {std::pair<uint64_t, uint64_t>{1, 1000}, {7, 1001},
+              {50, 1000}, {4096, 4096}}) {
+            SCOPED_TRACE(std::string(name) + " quantum " +
+                         std::to_string(quantum));
+            hw::HwConfig config;
+            config.quantum = quantum;
+            hw::Machine machine(pipe.program(), config);
+            const auto res = machine.run(1000);
+            EXPECT_FALSE(res.completed);
+            EXPECT_FALSE(res.trap.has_value());
+            EXPECT_EQ(res.allContextUops, stop);
+            EXPECT_EQ(res.executedUops, stop);
+        }
     }
 }
 

@@ -23,12 +23,14 @@ main()
     std::printf("// Generated by tools/golden_gen — workload, "
                 "machine checksum, interp checksum,\n"
                 "// retired uops, region entries/commits/aborts, "
-                "per-region fingerprint.\n");
+                "per-region fingerprint,\n"
+                "// trace digest, timing-model cycles.\n");
     for (const auto &w : workloads::dacapoSuite()) {
         const test::GoldenRow row = test::runGoldenPipeline(w);
         std::printf("    {\"%s\", 0x%016llxull, 0x%016llxull,\n"
                     "     %lluull, %lluull, %lluull, %lluull, "
-                    "0x%016llxull},\n",
+                    "0x%016llxull,\n"
+                    "     0x%016llxull, %lluull},\n",
                     row.workload.c_str(),
                     static_cast<unsigned long long>(
                         row.outputChecksum),
@@ -42,7 +44,9 @@ main()
                     static_cast<unsigned long long>(
                         row.regionAborts),
                     static_cast<unsigned long long>(
-                        row.regionFingerprint));
+                        row.regionFingerprint),
+                    static_cast<unsigned long long>(row.traceDigest),
+                    static_cast<unsigned long long>(row.cycles));
     }
     return 0;
 }
