@@ -68,51 +68,23 @@ TimingModel::TimingModel(const TimingConfig &config)
     : cfg(config),
       caches(config.l1Lines, config.l1Assoc, config.l2Lines,
              config.l2Assoc, config.l1Latency, config.l2Latency,
-             config.memLatency, config.prefetcher),
-      completeRing(HIST, 0), retireRing(HIST, 0)
+             config.memLatency, config.prefetcher)
 {
-    // Shift every cycle-state register to the configured origin; the
-    // rings keep base 0 so a large startCycle forces an immediate
-    // rebase (see TimingConfig::startCycle).
-    dispatchCycle = cfg.startCycle;
-    retireCycle = cfg.startCycle;
-    fetchResumeAt = cfg.startCycle;
-    serialGate = cfg.startCycle;
-    maxComplete = cfg.startCycle;
-    maxStoreComplete = cfg.startCycle;
-    lastUopComplete = cfg.startCycle;
-    lastRetire = cfg.startCycle;
-    lastRegionEndRetire = cfg.startCycle;
+    AREGION_ASSERT(static_cast<size_t>(cfg.robSize) < kHistory &&
+                       static_cast<size_t>(cfg.schedWindow) < kHistory,
+                   "robSize ", cfg.robSize, " and schedWindow ",
+                   cfg.schedWindow, " must be below ", kHistory);
 }
 
 uint64_t
-TimingModel::historyComplete(uint64_t seq) const
+TimingModel::historyComplete(uint64_t seq, uint64_t consumer) const
 {
-    if (seq == 0 || seq + HIST <= uopCount)
+    // Age by the consumer's own number: numbers skip (trace.hh), so a
+    // count of delivered uops lags it and would read slots that newer
+    // uops have overwritten.
+    if (seq == 0 || seq + kHistory <= consumer)
         return 0;   // ancient producer: long since complete
-    return ringBase + completeRing[seq % HIST];
-}
-
-void
-TimingModel::rebaseRings(uint64_t anchor)
-{
-    // Keep the origin 2^31 cycles behind the anchor: every value a
-    // future read can observe lies within a few million cycles of
-    // the current dispatch cycle (the rings only retain HIST uops,
-    // and per-uop cycle advance is bounded by the largest modelled
-    // latency), so live entries never come near the clamp below and
-    // clamped ancient entries stay far under any gate comparison.
-    ++ringRebases;
-    const uint64_t new_base = anchor - (1ull << 31);
-    AREGION_ASSERT(new_base > ringBase,
-                   "ring rebase must advance: ", ringBase, " -> ",
-                   new_base);
-    const uint64_t shift = new_base - ringBase;
-    for (uint32_t &v : completeRing)
-        v = v >= shift ? static_cast<uint32_t>(v - shift) : 0;
-    for (uint32_t &v : retireRing)
-        v = v >= shift ? static_cast<uint32_t>(v - shift) : 0;
-    ringBase = new_base;
+    return completeRing[seq % kHistory];
 }
 
 void
@@ -137,14 +109,14 @@ TimingModel::processUop(const TraceUop &u)
     };
     // ROB occupancy: wait for the uop robSize back to retire.
     if (u.seq > static_cast<uint64_t>(cfg.robSize)) {
-        gate(ringBase + retireRing[(u.seq - static_cast<uint64_t>(
-                 cfg.robSize)) % HIST],
+        gate(retireRing[(u.seq - static_cast<uint64_t>(cfg.robSize)) %
+                        kHistory],
              stallRob);
     }
     // Scheduling window: bounded distance past incomplete uops.
     if (u.seq > static_cast<uint64_t>(cfg.schedWindow)) {
-        gate(ringBase + completeRing[(u.seq - static_cast<uint64_t>(
-                 cfg.schedWindow)) % HIST],
+        gate(completeRing[(u.seq - static_cast<uint64_t>(
+                 cfg.schedWindow)) % kHistory],
              stallSched);
     }
     gate(fetchResumeAt, stallFetch);
@@ -188,7 +160,7 @@ TimingModel::processUop(const TraceUop &u)
     // --- Execute --------------------------------------------------
     uint64_t ready = d;
     for (int i = 0; i < u.numSrcs; ++i)
-        ready = std::max(ready, historyComplete(u.srcSeq[i]));
+        ready = std::max(ready, historyComplete(u.srcSeq[i], u.seq));
 
     uint64_t latency = 1;
     switch (u.lat) {
@@ -216,12 +188,8 @@ TimingModel::processUop(const TraceUop &u)
         caches.accessLatency(u.memAddr);
 
     const uint64_t complete = ready + latency;
-    if (complete - ringBase > 0xffffffffull) [[unlikely]]
-        rebaseRings(complete);
-    completeRing[u.seq % HIST] =
-        static_cast<uint32_t>(complete - ringBase);
+    completeRing[u.seq % kHistory] = complete;
     lastUopComplete = complete;
-    maxComplete = std::max(maxComplete, complete);
     if (u.isStore || u.serializing)
         maxStoreComplete = std::max(maxStoreComplete, complete);
     if (u.serializing)
@@ -239,7 +207,6 @@ TimingModel::processUop(const TraceUop &u)
         }
         predictor.update(u.pc, u.taken);
     } else if (u.indirect) {
-        ++indirects;
         if (predictor.predictTarget(u.pc) != u.targetPc) {
             ++indirectMispredicts;
             fetchResumeAt = std::max(
@@ -261,9 +228,7 @@ TimingModel::processUop(const TraceUop &u)
         retiredInCycle = 1;
         r = retireCycle;
     }
-    if (r - ringBase > 0xffffffffull) [[unlikely]]
-        rebaseRings(r);
-    retireRing[u.seq % HIST] = static_cast<uint32_t>(r - ringBase);
+    retireRing[u.seq % kHistory] = r;
     lastRetire = std::max(lastRetire, r);
 
     if (u.region == RegionEvent::End)
@@ -274,10 +239,12 @@ void
 TimingModel::abortFlush(const AbortEvent &)
 {
     ++abortFlushes;
-    // The pipeline flushes and redirects once the aborting
-    // instruction (the last uop streamed) resolves, like a branch
-    // mispredict (Section 6.1: early aborts cost little more than a
-    // pipeline flush).
+    // The pipeline flushes and redirects like a branch mispredict
+    // (Section 6.1: early aborts cost little more than a pipeline
+    // flush). The aborting instruction itself is never streamed
+    // (trace.hh), so the redirect counts from the last uop streamed,
+    // the one before it, not from the abort's own resolution.
+    // ROADMAP.md's cycle-accounting item owns delivering that uop.
     fetchResumeAt = std::max(
         fetchResumeAt,
         lastUopComplete + static_cast<uint64_t>(

@@ -15,6 +15,7 @@
 #ifndef AREGION_HW_TIMING_HH
 #define AREGION_HW_TIMING_HH
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -50,17 +51,6 @@ struct TimingConfig
     static constexpr int memLatency = 400;     ///< 100 ns at 4 GHz
     bool prefetcher = true;
 
-    /**
-     * Initial value for every cycle-state field (testing knob).
-     * The model is shift-invariant — no component consumes absolute
-     * cycle values — so a run started near 2^32 must reproduce the
-     * zero-start run exactly, just offset, while forcing the 32-bit
-     * ring offsets through rebaseRings almost immediately. The
-     * stress tests use this to exercise the rebase path; leave at 0
-     * otherwise.
-     */
-    uint64_t startCycle = 0;
-
     static TimingConfig baseline();            ///< Table 1
     static TimingConfig stallBegin();          ///< Figure 9 middle
     static TimingConfig singleInflight();      ///< Figure 9 right
@@ -74,6 +64,12 @@ struct TimingConfig
 class TimingModel : public TraceSink
 {
   public:
+    /** Uops of completion and retire history kept. No producer
+     *  `robSize` or more uops back can delay a consumer (the ROB gate
+     *  holds each uop until that one has retired), so the history only
+     *  has to outlast the ROB; the constructor checks it does. */
+    static constexpr size_t kHistory = 256;
+
     explicit TimingModel(const TimingConfig &config);
 
     void uop(const TraceUop &u) override { processUop(u); }
@@ -95,7 +91,6 @@ class TimingModel : public TraceSink
     uint64_t uopCount = 0;
     uint64_t branches = 0;
     uint64_t mispredicts = 0;
-    uint64_t indirects = 0;
     uint64_t indirectMispredicts = 0;
     uint64_t serializations = 0;
     uint64_t regionBegins = 0;
@@ -109,9 +104,6 @@ class TimingModel : public TraceSink
     uint64_t stallSerial = 0;       ///< serialization / store drain
     uint64_t stallRegion = 0;       ///< degraded aregion_begin impls
 
-    /** Times rebaseRings ran (ring-offset origin advanced). */
-    uint64_t ringRebases = 0;
-
     /** Mirror the model's counters into the process-wide telemetry
      *  registry (`timing.*` keys). Call once per finished run. */
     void publishTelemetry() const;
@@ -124,28 +116,16 @@ class TimingModel : public TraceSink
 
   private:
     void processUop(const TraceUop &u);
-    uint64_t historyComplete(uint64_t seq) const;
-
-    /** Advance ringBase so `anchor - ringBase` fits in 32 bits,
-     *  shifting every stored ring offset to the new origin. */
-    void rebaseRings(uint64_t anchor);
+    uint64_t historyComplete(uint64_t seq, uint64_t consumer) const;
 
     TimingConfig cfg;
     BranchPredictor predictor;
     CacheHierarchy caches;
 
-    static constexpr size_t HIST = 8192;
-    /** Completion/retire cycles of the last HIST uops, stored as
-     *  32-bit offsets from ringBase so both rings together occupy
-     *  64 KB of host memory instead of 128 KB — the dependence-wakeup
-     *  lookups into completeRing are the model's hottest random
-     *  memory traffic. ringBase is rebased roughly every 2^31 cycles
-     *  (rebaseRings), which keeps live offsets exact: values still
-     *  reachable by any read sit within a few million cycles of the
-     *  current dispatch cycle, while the origin trails it by 2^31. */
-    std::vector<uint32_t> completeRing;     ///< seq % HIST -> cycle
-    std::vector<uint32_t> retireRing;       ///< seq % HIST -> cycle
-    uint64_t ringBase = 0;
+    /** Completion/retire cycle of each of the last kHistory uops,
+     *  indexed by `seq % kHistory`. */
+    std::array<uint64_t, kHistory> completeRing{};
+    std::array<uint64_t, kHistory> retireRing{};
 
     uint64_t dispatchCycle = 0;
     int dispatchedInCycle = 0;
@@ -153,7 +133,6 @@ class TimingModel : public TraceSink
     int retiredInCycle = 0;
     uint64_t fetchResumeAt = 0;
     uint64_t serialGate = 0;
-    uint64_t maxComplete = 0;
     uint64_t maxStoreComplete = 0;
     uint64_t lastUopComplete = 0;
     uint64_t lastRetire = 0;

@@ -7,7 +7,16 @@
  * TraceUop carrying its data dependences (producer sequence numbers),
  * memory address, branch outcome, and region events. Aborted regions'
  * uops are streamed as they execute (they occupy the pipeline) and
- * reconciled by the AbortEvent that follows.
+ * reconciled by the AbortEvent that follows. The aborting uop itself
+ * is not streamed: the AbortEvent stands in for it.
+ *
+ * Sequence contract. Numbers strictly increase in delivery order, and
+ * some are skipped: a uop that aborts (a firing assert, an overflowing
+ * access, a conflict at commit) or does not complete (a blocked
+ * monitor enter, a held commit) takes a number and is never delivered.
+ * `srcSeq` names the producer's number, so a consumer ages its
+ * producers against its own number, never against a count of uops
+ * delivered.
  */
 
 #ifndef AREGION_HW_TRACE_HH
@@ -57,7 +66,7 @@ inline constexpr size_t kNumAbortCauses =
 const char *abortCauseName(AbortCause cause);
 
 /** Region lifecycle markers attached to trace uops. */
-enum class RegionEvent : uint8_t { None, Begin, End, Abort };
+enum class RegionEvent : uint8_t { None, Begin, End };
 
 /** One executed uop of the traced context. Field order and widths
  *  keep the struct at 64 bytes, and the alignment pins batch entries
@@ -66,7 +75,7 @@ enum class RegionEvent : uint8_t { None, Begin, End, Abort };
  *  model reads them back out. */
 struct alignas(64) TraceUop
 {
-    uint64_t seq = 0;           ///< 1-based sequence number
+    uint64_t seq = 0;           ///< 1-based, increasing, with gaps
     uint64_t memAddr = 0;       ///< word address for loads/stores
 
     /** Producer seqs of the register sources (0 = no producer). */

@@ -1,17 +1,11 @@
 /**
  * @file
  * Wraparound/tombstone stress tests for the machine's epoch-tagged
- * speculative-state containers (hw/spec_state.hh) and for the timing
- * model's 32-bit ring offsets near the rebaseRings boundary
- * (hw/timing.cc).
+ * speculative-state containers (hw/spec_state.hh).
  *
  * A full machine run rarely reaches these corners: the store buffer
- * seldom grows mid-epoch, probe chains seldom wrap the table mask,
- * and a natural ring rebase needs 2^32 simulated cycles. Here the
- * containers are driven directly, and the rebase path is forced with
- * the TimingConfig::startCycle knob — the model is shift-invariant,
- * so a run started just below the 32-bit boundary must reproduce the
- * zero-start run exactly, offset by the start cycle.
+ * seldom grows mid-epoch and probe chains seldom wrap the table mask.
+ * Here the containers are driven directly.
  */
 
 #include <cstdint>
@@ -23,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "hw/spec_state.hh"
-#include "hw/timing.hh"
 
 using namespace aregion::hw;
 
@@ -401,205 +394,4 @@ TEST(SetOccupancy, LazyPerSetEpochReset)
     EXPECT_EQ(occ.increment(2), 1);
     EXPECT_EQ(occ.increment(3), 1);
     EXPECT_EQ(occ.increment(2), 2);
-}
-
-// ---------------------------------------------------------------
-// Timing rings near the rebase boundary
-// ---------------------------------------------------------------
-
-namespace {
-
-/** One scripted timing-model event. */
-struct Ev
-{
-    enum Kind { Uop, Abort, Marker } kind = Uop;
-    TraceUop u;
-    AbortEvent abort{AbortCause::Explicit, 0, 0};
-    int64_t marker = 0;
-};
-
-/**
- * Deterministic synthetic trace exercising every model path: all
- * latency classes, dependences across the HIST window, branch and
- * indirect mispredicts, serializing ops, region begin/end/abort,
- * and periodic markers.
- */
-std::vector<Ev>
-makeScript(size_t n)
-{
-    std::vector<Ev> script;
-    script.reserve(n + n / 500);
-    std::mt19937_64 rng(0x5EEDull);
-    uint64_t seq = 0;
-    bool open = false;
-    for (size_t i = 0; i < n; ++i) {
-        Ev ev;
-        TraceUop &u = ev.u;
-        u.seq = ++seq;
-        const uint64_t r = rng();
-        switch (r % 16) {
-          case 6:
-            u.lat = LatClass::Mul;
-            break;
-          case 7:
-            u.lat = LatClass::Div;
-            break;
-          case 8:
-          case 9:
-          case 10:
-            u.lat = LatClass::Load;
-            u.isLoad = true;
-            break;
-          case 11:
-          case 12:
-            u.lat = LatClass::Store;
-            u.isStore = true;
-            break;
-          case 13:
-          case 14:
-            u.lat = LatClass::Branch;
-            u.isBranch = true;
-            u.taken = (r >> 20) & 1;
-            break;
-          case 15:
-            u.lat = LatClass::Serial;
-            u.serializing = true;
-            u.isStore = true;
-            break;
-          default:
-            u.lat = LatClass::Int;
-            break;
-        }
-        if (u.isLoad || u.isStore) {
-            // Hot set plus a streaming tail for L1/L2 misses.
-            u.memAddr = (r >> 8) % 3 == 0
-                ? (r >> 16) % 64
-                : 4096 + (static_cast<uint64_t>(i) * 8) % 300000;
-        }
-        u.pc = static_cast<uint32_t>((r >> 32) % 509);
-        if (!u.isBranch && r % 97 == 0) {
-            u.indirect = true;
-            u.targetPc = static_cast<uint32_t>((r >> 40) % 31);
-        }
-        u.numSrcs = static_cast<int8_t>(r % 3);
-        for (int s = 0; s < u.numSrcs; ++s) {
-            const uint64_t back = 1 + (rng() % 9000);  // spans HIST
-            u.srcSeq[s] = seq > back ? seq - back : 0;
-        }
-        if (!open && r % 61 == 0) {
-            u.region = RegionEvent::Begin;
-            u.regionId = 1;
-            open = true;
-        } else if (open && r % 41 == 0) {
-            u.region = RegionEvent::End;
-            u.regionId = 1;
-            open = false;
-        }
-        script.push_back(ev);
-        if (open && r % 577 == 0) {
-            Ev ab;
-            ab.kind = Ev::Abort;
-            ab.abort = {AbortCause::Conflict, 5, 0};
-            script.push_back(ab);
-            open = false;
-        }
-        if (i % 1000 == 999) {
-            Ev mk;
-            mk.kind = Ev::Marker;
-            mk.marker = static_cast<int64_t>(i);
-            script.push_back(mk);
-        }
-    }
-    return script;
-}
-
-struct RunResult
-{
-    uint64_t cycles = 0;
-    uint64_t rebases = 0;
-    std::vector<uint64_t> counters;
-    std::vector<std::pair<int64_t, uint64_t>> markers;
-};
-
-RunResult
-runScript(const std::vector<Ev> &script, uint64_t start_cycle)
-{
-    TimingConfig cfg = TimingConfig::singleInflight();
-    cfg.startCycle = start_cycle;
-    TimingModel model(cfg);
-    for (const Ev &ev : script) {
-        switch (ev.kind) {
-          case Ev::Uop:
-            model.uop(ev.u);
-            break;
-          case Ev::Abort:
-            model.abortFlush(ev.abort);
-            break;
-          case Ev::Marker:
-            model.marker(ev.marker);
-            break;
-        }
-    }
-    RunResult res;
-    res.cycles = model.cycles();
-    res.rebases = model.ringRebases;
-    res.counters = {model.uopCount,         model.branches,
-                    model.mispredicts,      model.indirects,
-                    model.indirectMispredicts,
-                    model.serializations,   model.regionBegins,
-                    model.abortFlushes,     model.stallRob,
-                    model.stallSched,       model.stallFetch,
-                    model.stallSerial,      model.stallRegion,
-                    model.l1Misses(),       model.l2Misses()};
-    res.markers = model.markerCycles;
-    return res;
-}
-
-void
-expectShifted(const RunResult &base, const RunResult &shifted,
-              uint64_t shift)
-{
-    EXPECT_EQ(shifted.cycles - base.cycles, shift);
-    EXPECT_EQ(shifted.counters, base.counters);
-    ASSERT_EQ(shifted.markers.size(), base.markers.size());
-    for (size_t i = 0; i < base.markers.size(); ++i) {
-        EXPECT_EQ(shifted.markers[i].first, base.markers[i].first);
-        EXPECT_EQ(shifted.markers[i].second - base.markers[i].second,
-                  shift)
-            << "marker " << base.markers[i].first;
-    }
-}
-
-} // namespace
-
-TEST(TimingRings, RebaseWithLiveEntriesIsShiftExact)
-{
-    // Start just below the 32-bit offset boundary: the rings fill
-    // with offsets near 0xffffffff, then the first completion past
-    // the boundary rebases while HIST live entries are in flight.
-    // Shift-invariance of the model makes the zero-start run the
-    // oracle: every cycle observable must differ by exactly the
-    // start cycle, every count must be identical.
-    const std::vector<Ev> script = makeScript(50000);
-    const RunResult base = runScript(script, 0);
-    ASSERT_EQ(base.rebases, 0u);
-
-    const uint64_t shift = (1ull << 32) - 1000;
-    const RunResult near = runScript(script, shift);
-    EXPECT_GE(near.rebases, 1u);
-    expectShifted(base, near, shift);
-}
-
-TEST(TimingRings, ImmediateRebaseFarPastBoundaryIsShiftExact)
-{
-    // Start two full wraps past the boundary: the very first uop's
-    // completion triggers a rebase against all-stale (zero) ring
-    // slots, exercising the clamp path.
-    const std::vector<Ev> script = makeScript(20000);
-    const RunResult base = runScript(script, 0);
-
-    const uint64_t shift = 1ull << 33;
-    const RunResult far = runScript(script, shift);
-    EXPECT_GE(far.rebases, 1u);
-    expectShifted(base, far, shift);
 }
