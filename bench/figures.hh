@@ -133,8 +133,8 @@ fig3(Grid &grid)
 {
     core::CompilerConfig unopt = core::CompilerConfig::baseline();
     unopt.name = "inlined-only";
-    unopt.opt.unrollBodyLimit = 0;
-    unopt.opt.maxScalarIters = 1;
+    unopt.unrollBodyLimit = 0;
+    unopt.maxScalarIters = 1;
     const std::vector<core::CompilerConfig> configs{
         unopt, core::CompilerConfig::baseline(),
         core::CompilerConfig::atomic()};

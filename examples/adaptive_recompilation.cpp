@@ -83,7 +83,6 @@ main()
 
     runtime::ExperimentConfig adaptive_cfg = static_cfg;
     adaptive_cfg.adaptiveRecompile = true;
-    adaptive_cfg.controller.abortRateThreshold = 0.01;
     const auto after = runtime::runExperiment(
         profile_prog, measure_prog, adaptive_cfg);
 

@@ -7,10 +7,12 @@
  * Usage: region_explorer [workload] [--ir]
  *   workload: antlr bloat fop hsqldb jython pmd xalan (default xalan)
  *   --ir:     also print the full IR of every function with regions
+ * An unknown workload or flag exits 2 with a usage line on stderr
+ * before anything runs.
  */
 
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "core/compiler.hh"
 #include "hw/trace.hh"
@@ -21,16 +23,42 @@
 
 using namespace aregion;
 
+namespace {
+
+int
+usage(const std::string &problem)
+{
+    std::fprintf(stderr, "%s\nusage: region_explorer [workload] [--ir]\n",
+                 problem.c_str());
+    return 2;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    const char *name = argc > 1 && argv[1][0] != '-' ? argv[1]
-                                                     : "xalan";
+    std::string name;
     bool dump_ir = false;
-    for (int i = 1; i < argc; ++i)
-        dump_ir |= std::strcmp(argv[i], "--ir") == 0;
-
-    const auto &w = workloads::workloadByName(name);
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--ir")
+            dump_ir = true;
+        else if (arg[0] == '-' || !name.empty())
+            return usage("unexpected argument '" + arg + "'");
+        else
+            name = arg;
+    }
+    if (name.empty())
+        name = "xalan";
+    const workloads::Workload *found = nullptr;
+    for (const workloads::Workload &w : workloads::dacapoSuite()) {
+        if (w.name == name)
+            found = &w;
+    }
+    if (!found)
+        return usage("no workload named '" + name + "'");
+    const workloads::Workload &w = *found;
     const vm::Program profile_prog = w.build(true);
     const vm::Program measure_prog = w.build(false);
 
@@ -45,7 +73,7 @@ main(int argc, char **argv)
 
     std::printf("workload %s: %d region(s) formed, %d asserts, "
                 "%d blocks replicated, %d SLE pairs elided\n\n",
-                name, compiled.stats.regions.regionsFormed,
+                name.c_str(), compiled.stats.regions.regionsFormed,
                 compiled.stats.regions.assertsCreated,
                 compiled.stats.regions.blocksReplicated,
                 compiled.stats.slePairsElided);
@@ -98,7 +126,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(stats.commits));
         if (stats.totalAborts() > 0) {
             std::printf(", aborts:");
-            for (int c = 0; c < 6; ++c) {
+            for (size_t c = 0; c < hw::kNumAbortCauses; ++c) {
                 if (stats.abortsByCause[c]) {
                     std::printf(" %s=%llu",
                                 hw::abortCauseName(

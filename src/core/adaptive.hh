@@ -37,16 +37,16 @@ struct RegionTelemetry
 using AbortTelemetry =
     std::map<std::pair<int, int>, RegionTelemetry>;
 
-/** Policy knobs and the override computation. */
+/** The policy's two constants and the override computation. */
 class AdaptiveController
 {
   public:
     /** Abort rate above which a region must be recompiled (the
      *  paper: "even a few percent" hurts). */
-    double abortRateThreshold = 0.01;
+    static constexpr double abortRateThreshold = 0.01;
 
     /** Regions with fewer entries than this are left alone. */
-    uint64_t minEntries = 64;
+    static constexpr uint64_t minEntries = 64;
 
     /**
      * Warm-override sites — (bcMethod, bcPc) of the cold branches
@@ -56,8 +56,6 @@ class AdaptiveController
     std::set<std::pair<int, int>>
     computeOverrides(const ir::Module &mod,
                      const AbortTelemetry &telemetry) const;
-
-    bool operator==(const AdaptiveController &) const = default;
 };
 
 } // namespace aregion::core

@@ -81,8 +81,6 @@ runRegionStages(ir::Module &mod, CompileStats &stats,
         stats.regions.blocksReplicated += rs.blocksReplicated;
         stats.regions.regionExits += rs.regionExits;
         stats.regions.unrolledRegions += rs.unrolledRegions;
-        if (rs.regionsFormed > 0)
-            stats.funcsWithRegions++;
         funcs.emplace_back(&func, rs.regionsFormed > 0 ||
                                       rs.assertsCreated > 0 ||
                                       rs.blocksReplicated > 0);
@@ -99,11 +97,8 @@ runRegionStages(ir::Module &mod, CompileStats &stats,
     }
 
     for (auto &[func, changed] : funcs) {
-        if (config.elideSafepointsInRegions) {
-            const int elided = elideSafepoints(*func);
-            stats.safepointsElided += elided;
-            changed |= elided > 0;
-        }
+        if (config.elideSafepointsInRegions)
+            changed |= elideSafepoints(*func) > 0;
         // The payoff: the SAME non-speculative scalar passes now
         // optimize the isolated hot path.
         if (changed)
@@ -136,8 +131,13 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
         telemetry::Registry::global().counter(
             telemetry::keys::kJitCompileUs));
 
-    opt::OptContext ctx = config.opt;
+    // The optimizer's context comes from the config alone: the inline
+    // budgets scale with inlineMultiplier, and atomic mode and the
+    // grey bar set the inliner's criteria.
+    opt::OptContext ctx;
     ctx.profile = &profile;
+    ctx.unrollBodyLimit = config.unrollBodyLimit;
+    ctx.maxScalarIters = config.maxScalarIters;
     ctx.inlineCalleeLimit = static_cast<int>(
         ctx.inlineCalleeLimit * config.inlineMultiplier);
     ctx.inlineGrowthLimit = static_cast<int>(

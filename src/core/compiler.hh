@@ -42,8 +42,14 @@ struct CompilerConfig
      *  bar in Figure 7). */
     bool forceMonomorphic = false;
 
+    /** Baseline unrolling's body size limit (0 = off) and the scalar
+     *  pipeline's bound in rounds, as in opt::OptContext. Figure 3's
+     *  inlined-only column lowers both; compileProgram derives the
+     *  rest of the optimizer's context from the fields above. */
+    int unrollBodyLimit = opt::OptContext{}.unrollBodyLimit;
+    int maxScalarIters = opt::OptContext{}.maxScalarIters;
+
     RegionConfig region;
-    opt::OptContext opt;    ///< profile is filled by compileProgram
 
     static CompilerConfig baseline();
     static CompilerConfig atomic();
@@ -59,9 +65,7 @@ struct CompileStats
     RegionStats regions;
     int slePairsElided = 0;
     int postdomChecksRemoved = 0;
-    int safepointsElided = 0;
     int totalInstrs = 0;
-    int funcsWithRegions = 0;
 
     bool operator==(const CompileStats &) const = default;
 };

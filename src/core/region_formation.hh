@@ -31,7 +31,8 @@
 
 namespace aregion::core {
 
-/** Tunables; defaults follow the paper (Section 4). */
+/** Tunables; defaults follow the paper (Section 4). The two
+ *  formation bounds are constants: no experiment varies them. */
 struct RegionConfig
 {
     /** LOOPPATHTHRESHOLD: loops with longer per-entry dynamic paths
@@ -42,14 +43,14 @@ struct RegionConfig
     double targetSize = 200;
 
     /** Safety bound on blocks replicated per region. */
-    int maxRegionBlocks = 64;
+    static constexpr int maxRegionBlocks = 64;
 
     /** Minimum replicated instructions worth a region (tiny
      *  regions are pure begin/end overhead). */
     int minRegionInstrs = 10;
 
     /** Partial loop unrolling: max iterations fused per region. */
-    int maxUnrollFactor = 4;
+    static constexpr int maxUnrollFactor = 4;
 
     /** Cold edges at these (bcMethod, bcPc) sites are treated as warm
      *  (adaptive recompilation feedback; Section 7). */

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "hw/timing.hh"
 #include "support/logging.hh"
 
 namespace aregion::hw {
@@ -60,11 +61,9 @@ Cache::install(uint64_t line)
     lru->lastUse = clock;
 }
 
-CacheHierarchy::CacheHierarchy(int l1_lines, int l1_assoc,
-                               int l2_lines, int l2_assoc, int l1_lat,
-                               int l2_lat, int mem_lat, bool prefetch_)
-    : l1(l1_lines, l1_assoc), l2(l2_lines, l2_assoc), l1Lat(l1_lat),
-      l2Lat(l2_lat), memLat(mem_lat), prefetch(prefetch_)
+CacheHierarchy::CacheHierarchy(int l1_lines, int l2_lines)
+    : l1(l1_lines, TimingConfig::l1Assoc),
+      l2(l2_lines, TimingConfig::l2Assoc)
 {
 }
 
@@ -73,10 +72,10 @@ CacheHierarchy::accessLatency(uint64_t word_addr)
 {
     const uint64_t line = word_addr / kLineWords;
     if (l1.access(line))
-        return l1Lat;
+        return TimingConfig::l1Latency;
     // Stream prefetch: a second consecutive miss line pulls the next
     // line into both levels.
-    if (prefetch) {
+    if (TimingConfig::prefetcher) {
         if (line == lastMissLine + 1) {
             l1.install(line + 1);
             l2.install(line + 1);
@@ -84,8 +83,8 @@ CacheHierarchy::accessLatency(uint64_t word_addr)
         lastMissLine = line;
     }
     if (l2.access(line))
-        return l2Lat;
-    return memLat;
+        return TimingConfig::l2Latency;
+    return TimingConfig::memLatency;
 }
 
 } // namespace aregion::hw

@@ -1,9 +1,9 @@
 /**
  * @file
- * Set-associative cache model with LRU replacement and an optional
- * next-line stream prefetcher, used by the timing model for load
- * latencies (Table 1: 32KB/4-way L1 at 4 cycles, 4MB/8-way L2 at 20
- * cycles, 100 ns memory).
+ * Set-associative cache model with LRU replacement and a next-line
+ * stream prefetcher, used by the timing model for load latencies
+ * (Table 1: 32KB/4-way L1 at 4 cycles, 4MB/8-way L2 at 20 cycles,
+ * 100 ns memory).
  */
 
 #ifndef AREGION_HW_CACHE_HH
@@ -60,13 +60,13 @@ class Cache
     uint64_t clock = 0;
 };
 
-/** L1 + L2 + memory hierarchy for the timing model. */
+/** L1 + L2 + memory hierarchy for the timing model. Only the two
+ *  sizes vary; the ways, latencies and prefetcher are Table 1's
+ *  (TimingConfig). */
 class CacheHierarchy
 {
   public:
-    CacheHierarchy(int l1_lines, int l1_assoc, int l2_lines,
-                   int l2_assoc, int l1_lat, int l2_lat, int mem_lat,
-                   bool prefetch);
+    CacheHierarchy(int l1_lines, int l2_lines);
 
     /** Latency (cycles) of a data access at the word address. */
     int accessLatency(uint64_t word_addr);
@@ -77,10 +77,6 @@ class CacheHierarchy
   private:
     Cache l1;
     Cache l2;
-    int l1Lat;
-    int l2Lat;
-    int memLat;
-    bool prefetch;
     uint64_t lastMissLine = ~0ull;
 };
 

@@ -482,7 +482,7 @@ Machine::spawn(Ctx &ctx, const MUop &uop)
 }
 
 void
-Machine::beginRegion(Ctx &ctx, const MUop &uop, uint64_t pc)
+Machine::beginRegion(Ctx &ctx, const MUop &uop)
 {
     AREGION_ASSERT(!ctx.spec.active, "nested atomic region");
     const Frame &frame = ctx.top();
@@ -491,7 +491,6 @@ Machine::beginRegion(Ctx &ctx, const MUop &uop, uint64_t pc)
     spec.regionId = uop.aux;
     spec.method = frame.fn->methodId;
     spec.altPc = uop.target;
-    spec.beginPc = pc;
     spec.uops = 0;
     spec.capLines = config.l1Lines;
     spec.regsSnapshot = frame.regs;
@@ -854,7 +853,7 @@ Machine::runQuantum(Ctx &ctx)
                 break;
 
               case MKind::ABegin:
-                beginRegion(ctx, uop, upc);
+                beginRegion(ctx, uop);
                 t.region = RegionEvent::Begin;
                 t.regionId = uop.aux;
                 break;

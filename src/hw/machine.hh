@@ -232,7 +232,6 @@ class Machine
         int regionId = -1;
         int method = -1;
         int altPc = 0;
-        uint64_t beginPc = 0;
         uint64_t uops = 0;
         /** Effective line limit for this region's footprint; set at
          *  aregion_begin to HwConfig::l1Lines, or lower when the
@@ -309,9 +308,8 @@ class Machine
     uint64_t allocate(Ctx &ctx, const MUop &uop, TraceUop &t);
     void crossMarker(Ctx &ctx, const MUop &uop);
     void spawn(Ctx &ctx, const MUop &uop);
-    /** ABegin: checkpoint the registers and open region `uop.aux`;
-     *  `pc` is the begin's global pc. */
-    void beginRegion(Ctx &ctx, const MUop &uop, uint64_t pc);
+    /** ABegin: checkpoint the registers and open region `uop.aux`. */
+    void beginRegion(Ctx &ctx, const MUop &uop);
     /** The failpoints of an AEnd; true when an injected commit stall
      *  holds the region open (the AEnd re-executes after it). */
     bool injectAtCommit(Ctx &ctx);

@@ -66,9 +66,7 @@ TimingConfig::twoWideHalf()
 
 TimingModel::TimingModel(const TimingConfig &config)
     : cfg(config),
-      caches(config.l1Lines, config.l1Assoc, config.l2Lines,
-             config.l2Assoc, config.l1Latency, config.l2Latency,
-             config.memLatency, config.prefetcher)
+      caches(config.l1Lines, config.l2Lines)
 {
     AREGION_ASSERT(static_cast<size_t>(cfg.robSize) < kHistory &&
                        static_cast<size_t>(cfg.schedWindow) < kHistory,

@@ -49,7 +49,7 @@ struct TimingConfig
     static constexpr int l1Latency = 4;
     static constexpr int l2Latency = 20;
     static constexpr int memLatency = 400;     ///< 100 ns at 4 GHz
-    bool prefetcher = true;
+    static constexpr bool prefetcher = true;   ///< next-line stream
 
     static TimingConfig baseline();            ///< Table 1
     static TimingConfig stallBegin();          ///< Figure 9 middle

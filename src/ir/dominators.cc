@@ -181,22 +181,6 @@ DominatorTree::reachable(int block) const
     return dfnum[static_cast<size_t>(block)] != -1;
 }
 
-std::vector<int>
-DominatorTree::preorder() const
-{
-    std::vector<int> order(dfnum.size(), -1);
-    std::vector<int> result;
-    for (size_t b = 0; b < dfnum.size(); ++b) {
-        if (dfnum[b] != -1)
-            order[static_cast<size_t>(dfnum[b])] = static_cast<int>(b);
-    }
-    for (int b : order) {
-        if (b != -1)
-            result.push_back(b);
-    }
-    return result;
-}
-
 std::vector<std::vector<int>>
 dominanceFrontiers(const Function &func, const DominatorTree &doms)
 {

@@ -36,9 +36,6 @@ class DominatorTree
     /** True if the block is reachable (has a tree position). */
     bool reachable(int block) const;
 
-    /** Blocks in dominator-tree preorder (root first). */
-    std::vector<int> preorder() const;
-
     int root() const { return rootBlock; }
 
   private:

@@ -28,7 +28,8 @@
 
 namespace aregion::opt {
 
-/** Tunables shared by the pipeline (baseline vs aggressive etc.). */
+/** Tunables shared by the pipeline. compileProgram derives them
+ *  from its core::CompilerConfig; the defaults are the baseline's. */
 struct OptContext
 {
     const vm::Profile *profile = nullptr;

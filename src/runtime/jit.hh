@@ -53,7 +53,8 @@ struct ExperimentConfig
      *  rate exceeds the adaptive controller's threshold, then
      *  re-run. */
     bool adaptiveRecompile = false;
-    core::AdaptiveController controller;
+    /** Section 7's policy, the same in every experiment. */
+    static constexpr core::AdaptiveController controller{};
 
     /** Always off. Only perfbench reads it: its staged copy of this
      *  pipeline rejects a config with it on. The next change to the

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "opt/pass.hh"
 #include "support/fnv.hh"
 
 namespace aregion::runtime::service {
@@ -118,28 +117,18 @@ hashCompilerConfig(const core::CompilerConfig &config)
     h.byte(config.elideSafepointsInRegions ? 1 : 0);
     h.f64(config.inlineMultiplier);
     h.byte(config.forceMonomorphic ? 1 : 0);
+    h.i64(config.unrollBodyLimit);
+    h.i64(config.maxScalarIters);
 
     const core::RegionConfig &r = config.region;
     h.f64(r.loopPathThreshold);
     h.f64(r.targetSize);
-    h.i64(r.maxRegionBlocks);
     h.i64(r.minRegionInstrs);
-    h.i64(r.maxUnrollFactor);
     h.u64(r.warmOverrides.size());
     for (const auto &[mid, pc] : r.warmOverrides) {
         h.i64(mid);
         h.i64(pc);
     }
-
-    const opt::OptContext &o = config.opt;
-    h.i64(o.inlineCalleeLimit);
-    h.i64(o.inlineGrowthLimit);
-    h.f64(o.devirtBias);
-    h.byte(o.refusePolymorphicCallees ? 1 : 0);
-    h.byte(o.assumeMonomorphic ? 1 : 0);
-    h.i64(o.partialInlineLimit);
-    h.i64(o.unrollBodyLimit);
-    h.i64(o.maxScalarIters);
     return h.state;
 }
 

@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal invariant
  * violations (simulator bugs), fatal() for user/configuration errors,
- * warn()/inform() for status messages that do not stop execution.
+ * warn() for status messages that do not stop execution.
  */
 
 #ifndef AREGION_SUPPORT_LOGGING_HH
@@ -22,9 +22,8 @@ namespace aregion {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
-/** Controls whether inform()/warn() print to stderr (tests mute them). */
+/** Controls whether warn() prints to stderr (tests mute it). */
 void setLogQuiet(bool quiet);
 
 namespace detail {
@@ -54,9 +53,6 @@ formatParts(Args &&...args)
 
 #define AREGION_WARN(...)                                                   \
     ::aregion::warnImpl(::aregion::detail::formatParts(__VA_ARGS__))
-
-#define AREGION_INFORM(...)                                                 \
-    ::aregion::informImpl(::aregion::detail::formatParts(__VA_ARGS__))
 
 /** Assert-with-message for invariants that are cheap enough to keep on. */
 #define AREGION_ASSERT(cond, ...)                                           \

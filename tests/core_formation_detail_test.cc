@@ -6,6 +6,8 @@
  * rules.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/compiler.hh"
@@ -132,26 +134,72 @@ TEST(FormationDetail, MinRegionInstrsSuppressesTinyRegions)
     EXPECT_TRUE(f.regions.empty());
 }
 
+/** A loop whose body is `diamonds` if/else pairs with both arms
+ *  warm: about two blocks per pair on every path through it. */
+Program
+diamondChainProgram(int diamonds)
+{
+    ProgramBuilder pb;
+    const MethodId mm = pb.declareMethod("main", 0);
+    auto mb = pb.define(mm);
+    const Reg i = mb.constant(0);
+    const Reg n = mb.constant(200);
+    const Reg one = mb.constant(1);
+    const Reg two = mb.constant(2);
+    const Reg zero = mb.constant(0);
+    const Reg sum = mb.constant(0);
+    const Label loop = mb.newLabel();
+    const Label done = mb.newLabel();
+    mb.bind(loop);
+    mb.branchCmp(Bc::CmpGe, i, n, done);
+    for (int k = 0; k < diamonds; ++k) {
+        const Label odd = mb.newLabel();
+        const Label join = mb.newLabel();
+        const Reg parity = mb.binop(Bc::Rem, mb.addImm(i, k), two);
+        mb.branchCmp(Bc::CmpNe, parity, zero, odd);
+        mb.binopTo(Bc::Add, sum, sum, mb.constant(k));
+        mb.jump(join);
+        mb.bind(odd);
+        mb.binopTo(Bc::Sub, sum, sum, one);
+        mb.bind(join);
+    }
+    mb.binopTo(Bc::Add, i, i, one);
+    mb.jump(loop);
+    mb.bind(done);
+    mb.print(sum);
+    mb.retVoid();
+    mb.finish();
+    pb.setMain(mm);
+    return pb.build();
+}
+
 TEST(FormationDetail, MaxRegionBlocksBoundsReplication)
 {
-    const Program prog = dispatchProgram();
+    // Every path through the body is longer than the bound, so region
+    // discovery stops at it.
+    const Program prog = diamondChainProgram(48);
     Profile profile(prog);
     ir::Module mod = prepare(prog, profile);
     ir::Function &f = mod.funcs.at(prog.mainMethod);
-    core::RegionConfig config;
-    config.maxRegionBlocks = 3;
-    config.maxUnrollFactor = 1;
-    const auto stats = core::formRegions(f, config);
+    const auto stats = core::formRegions(f, core::RegionConfig{});
     ir::verifyOrDie(f);
+    ASSERT_GT(stats.regionsFormed, 0);
+    ASSERT_EQ(stats.unrolledRegions, 0) << "one copy of each hot set";
+    constexpr int kBound = core::RegionConfig::maxRegionBlocks;
+    int largest = 0;
     for (const auto &region : f.regions) {
-        int blocks = 0;
-        for (int b = 0; b < f.numBlocks(); ++b)
-            blocks += f.block(b).regionId == region.id;
-        // entry + cloned hot set (<= bound) + exit blocks; the hot
-        // set itself respects the bound.
-        EXPECT_LE(blocks, 3 + 1 + 8) << "region " << region.id;
+        // The copied hot set: every block of the region but its
+        // aregion_begin block and its aregion_end exits.
+        int copies = 0;
+        for (int b = 0; b < f.numBlocks(); ++b) {
+            const ir::Block &blk = f.block(b);
+            copies += blk.regionId == region.id && b != region.entryBlock &&
+                      blk.instrs.front().op != ir::Op::AtomicEnd;
+        }
+        EXPECT_LE(copies, kBound) << "region " << region.id;
+        largest = std::max(largest, copies);
     }
-    (void)stats;
+    EXPECT_EQ(largest, kBound) << "the bound binds";
 }
 
 TEST(FormationDetail, SleSkipsUnbalancedMonitors)

@@ -307,7 +307,7 @@ TEST(Formation, PartialUnrollFusesIterations)
     const Program prog = arithLoopProgram();
     Profile profile(prog);
     core::CompilerConfig config = core::CompilerConfig::atomic();
-    config.opt.unrollBodyLimit = 0;     // isolate region unrolling
+    config.unrollBodyLimit = 0;         // isolate region unrolling
     config.region.minRegionInstrs = 4;  // the loop body is tiny
     core::Compiled compiled = compile(prog, config, profile);
     EXPECT_GT(compiled.stats.regions.unrolledRegions, 0);
@@ -468,11 +468,14 @@ TEST(Adaptive, OverridesRemoveHotAsserts)
             }
         }
     }
-    core::AdaptiveController controller;
-    controller.abortRateThreshold = 0.001;
-    controller.minEntries = 10;
-    const auto overrides =
-        controller.computeOverrides(first.mod, telemetry);
+    // The premise at the policy's constants: enough entries, and an
+    // abort rate past the threshold.
+    using Policy = core::AdaptiveController;
+    ASSERT_GE(res1.regionEntries, Policy::minEntries);
+    ASSERT_GE(static_cast<double>(res1.regionAborts) /
+                  static_cast<double>(res1.regionEntries),
+              Policy::abortRateThreshold);
+    const auto overrides = Policy{}.computeOverrides(first.mod, telemetry);
     ASSERT_FALSE(overrides.empty());
 
     // Recompile with warm overrides: the aborts must disappear.

@@ -7,7 +7,8 @@
  *    big; pmd loses in atomic (profile drift); jython loses in
  *    atomic but recovers with forced-monomorphic partial inlining;
  *  - average retired-uop reduction is positive and significant;
- *  - degraded region primitives (Figure 9) erase most of the win;
+ *  - degraded region primitives (Figure 9) erase most of the win,
+ *    and leave region-free code's cycles untouched;
  *  - SLE is the dominant source of the monitor-heavy benchmarks'
  *    speedup.
  *
@@ -125,6 +126,35 @@ TEST(FigureShape, DegradedPrimitivesEraseTheWin)
         const double s_chk = speedupPct(grid[4 * wi], grid[4 * wi + 1]);
         const double s_stall = speedupPct(grid[4 * wi + 2], grid[4 * wi + 3]);
         EXPECT_LT(s_stall, s_chk / 2) << names[wi];
+    }
+}
+
+TEST(FigureShape, RegionFreeCodeTimesTheSameOnEveryFigure9Machine)
+{
+    // The three primitives differ only at aregion_begin and at aborts,
+    // and baseline code has neither, so each analog's baseline compile
+    // takes the same cycles on all three machines.
+    const std::vector<hw::TimingConfig> machines{
+        hw::TimingConfig::baseline(), hw::TimingConfig::stallBegin(),
+        hw::TimingConfig::singleInflight()};
+    const std::vector<wl::Workload> &suite = wl::dacapoSuite();
+    Grid grid;
+    for (const wl::Workload &w : suite) {
+        for (const hw::TimingConfig &machine : machines)
+            grid.request(w, experiment(core::CompilerConfig::baseline(),
+                                       machine));
+    }
+    grid.run();
+    for (size_t wi = 0; wi < suite.size(); ++wi) {
+        SCOPED_TRACE(suite[wi].name);
+        const rt::RunMetrics &chk = grid[machines.size() * wi];
+        ASSERT_EQ(chk.regionEntries, 0u);
+        for (size_t m = 1; m < machines.size(); ++m) {
+            const rt::RunMetrics &run = grid[machines.size() * wi + m];
+            EXPECT_EQ(run.cycles, chk.cycles) << machines[m].name;
+            EXPECT_EQ(run.weightedCycles, chk.weightedCycles)
+                << machines[m].name;
+        }
     }
 }
 

@@ -49,9 +49,7 @@ TEST(TimingDetail, RobOccupancyBoundsRuntimeDistance)
 {
     // One very slow load followed by thousands of independent ALU
     // ops: dispatch must stall once the ROB fills behind the load.
-    hw::TimingConfig cfg;
-    cfg.prefetcher = false;
-    hw::TimingModel tm(cfg);
+    hw::TimingModel tm(hw::TimingConfig::baseline());
     tm.uop(load(1, 0x900000));      // cold: memory latency
     for (uint64_t i = 2; i <= 2000; ++i)
         tm.uop(alu(i));
@@ -62,13 +60,12 @@ TEST(TimingDetail, RobOccupancyBoundsRuntimeDistance)
 
 TEST(TimingDetail, CacheHitsAreFastAfterWarmup)
 {
-    hw::TimingConfig cfg;
-    cfg.prefetcher = false;
-    hw::TimingModel cold(cfg);
-    hw::TimingModel warm(cfg);
-    // Cold: every load a new line. Warm: same line repeatedly.
+    hw::TimingModel cold(hw::TimingConfig::baseline());
+    hw::TimingModel warm(hw::TimingConfig::baseline());
+    // Cold: every load a new line, every other line so the next-line
+    // prefetcher never covers one. Warm: same line repeatedly.
     for (uint64_t i = 1; i <= 400; ++i) {
-        cold.uop(load(i, 0x10000 + i * 8));
+        cold.uop(load(i, 0x10000 + i * 2 * hw::kLineWords));
         warm.uop(load(i, 0x10000));
     }
     EXPECT_GT(cold.cycles(), 2 * warm.cycles());
@@ -119,11 +116,9 @@ TEST(TimingDetail, SingleInflightSpacesRegions)
         }
         return tm.cycles();
     };
-    hw::TimingConfig chk = hw::TimingConfig::baseline();
-    chk.prefetcher = false;
-    hw::TimingConfig single = hw::TimingConfig::singleInflight();
-    single.prefetcher = false;
-    EXPECT_GT(run(single), run(chk));
+    // The loads lie 512 lines apart, out of the prefetcher's reach.
+    EXPECT_GT(run(hw::TimingConfig::singleInflight()),
+              run(hw::TimingConfig::baseline()));
 }
 
 TEST(TimingDetail, BeginStallChargesPerRegion)
@@ -187,9 +182,7 @@ TEST(TimingDetail, SkippedNumbersDoNotMakeAConsumerWaitOnANewerUop)
     // A consumer of seq 1 must treat it as long complete, not wait
     // on that load.
     constexpr uint64_t H = hw::TimingModel::kHistory;
-    hw::TimingConfig cfg;
-    cfg.prefetcher = false;
-    hw::TimingModel tm(cfg);
+    hw::TimingModel tm(hw::TimingConfig::baseline());
     tm.uop(alu(1));
     for (uint64_t seq = 4; seq <= H; ++seq)
         tm.uop(alu(seq));

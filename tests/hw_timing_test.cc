@@ -82,7 +82,8 @@ TEST(Cache, LruEvictsWithinSet)
 
 TEST(CacheHierarchy, LatencyOrdering)
 {
-    hw::CacheHierarchy h(64, 4, 1024, 8, 4, 20, 400, false);
+    // One line: the next-line prefetcher acts on a second miss.
+    hw::CacheHierarchy h(64, 1024);
     const int miss = h.accessLatency(0x5000);
     const int hit = h.accessLatency(0x5000);
     EXPECT_EQ(miss, 400);

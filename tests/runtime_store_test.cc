@@ -253,8 +253,9 @@ profileOf(const vm::Program &prog)
 }
 
 /** Each input below changes the content address — the bytecode, the
- *  profile, or one configuration field — so a request differing from
- *  an admitted one only in that input misses. */
+ *  profile, or one configuration field, every field in turn — so a
+ *  request differing from an admitted one only in that input
+ *  misses. */
 TEST(StoreTest, ConfigsDifferingInOneFieldNeverShareAnEntry)
 {
     const vm::Program prog = test::addElementProgram(900, 64);
@@ -278,15 +279,48 @@ TEST(StoreTest, ConfigsDifferingInOneFieldNeverShareAnEntry)
         edit(config.compiler);
         variants.push_back({what, &prog, &prog, std::move(config)});
     };
-    vary("warmOverrides", [&](core::CompilerConfig &cc) {
-        cc.region.warmOverrides.insert({prog.mainMethod, 0});
+    // A field added to either struct stops these bindings compiling
+    // until a variant below changes it.
+    [[maybe_unused]] const auto &[name, atomic_regions, sle, postdom,
+                                  safepoints, inline_multiplier, mono,
+                                  unroll, scalar_iters, region] =
+        base.compiler;
+    [[maybe_unused]] const auto &[loop_path, target_size, min_instrs,
+                                  warm] = base.compiler.region;
+    vary("name", [](core::CompilerConfig &cc) { cc.name += "'"; });
+    vary("atomicRegions", [](core::CompilerConfig &cc) {
+        cc.atomicRegions = !cc.atomicRegions;
+    });
+    vary("sle", [](core::CompilerConfig &cc) { cc.sle = !cc.sle; });
+    vary("postdomCheckElim", [](core::CompilerConfig &cc) {
+        cc.postdomCheckElim = !cc.postdomCheckElim;
+    });
+    vary("elideSafepointsInRegions", [](core::CompilerConfig &cc) {
+        cc.elideSafepointsInRegions = !cc.elideSafepointsInRegions;
+    });
+    vary("inlineMultiplier", [](core::CompilerConfig &cc) {
+        cc.inlineMultiplier = 1.0;
+    });
+    vary("forceMonomorphic", [](core::CompilerConfig &cc) {
+        cc.forceMonomorphic = !cc.forceMonomorphic;
+    });
+    vary("unrollBodyLimit", [](core::CompilerConfig &cc) {
+        cc.unrollBodyLimit = 0;
+    });
+    vary("maxScalarIters", [](core::CompilerConfig &cc) {
+        cc.maxScalarIters = 1;
+    });
+    vary("loopPathThreshold", [](core::CompilerConfig &cc) {
+        cc.region.loopPathThreshold *= 2;
     });
     vary("targetSize", [](core::CompilerConfig &cc) {
         cc.region.targetSize *= 2;
     });
-    vary("sle", [](core::CompilerConfig &cc) { cc.sle = !cc.sle; });
-    vary("elideSafepointsInRegions", [](core::CompilerConfig &cc) {
-        cc.elideSafepointsInRegions = !cc.elideSafepointsInRegions;
+    vary("minRegionInstrs", [](core::CompilerConfig &cc) {
+        cc.region.minRegionInstrs *= 2;
+    });
+    vary("warmOverrides", [&](core::CompilerConfig &cc) {
+        cc.region.warmOverrides.insert({prog.mainMethod, 0});
     });
 
     const uint64_t base_key =
